@@ -1,14 +1,6 @@
 """Benchmark harness: paper reference data, runners, renderers."""
 
 from repro.bench import paper
-from repro.bench.oocore import (
-    compare_oocore_benches,
-    load_oocore_bench,
-    oocore_bench_path,
-    record_oocore_bench,
-    render_oocore,
-    save_oocore_bench,
-)
 from repro.bench.experiments import (
     run_detection,
     run_figure1,
@@ -47,10 +39,4 @@ __all__ = [
     "render_series",
     "render_csv",
     "format_seconds",
-    "compare_oocore_benches",
-    "load_oocore_bench",
-    "oocore_bench_path",
-    "record_oocore_bench",
-    "render_oocore",
-    "save_oocore_bench",
 ]

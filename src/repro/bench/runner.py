@@ -26,11 +26,6 @@ from repro.obs.trace import TraceRecord
 #: Default reduced scale for the bench harness.
 DEFAULT_BENCH_TUPLES = 1 << 22
 
-#: Default scale for *executed* (non-analytic) benches — the regression
-#: recorder runs every pipeline on both backends, and the scalar backend
-#: is a per-tuple Python interpreter loop, so this is deliberately small.
-DEFAULT_EXEC_BENCH_TUPLES = 1 << 16
-
 _SCALE_ENV = "REPRO_BENCH_SCALE"
 
 #: When set, every benchmark result is appended (with its trace) to
@@ -42,7 +37,7 @@ _workload_cache: Dict[Tuple[int, float, int], AnalyticWorkload] = {}
 _result_cache: Dict[Tuple[int, float, int, str], JoinResult] = {}
 
 
-def bench_tuples(default: int = DEFAULT_BENCH_TUPLES) -> int:
+def bench_tuples() -> int:
     """The table size the harness runs at (env-overridable).
 
     ``REPRO_BENCH_SCALE`` accepts ``paper`` or a positive tuple count;
@@ -51,7 +46,7 @@ def bench_tuples(default: int = DEFAULT_BENCH_TUPLES) -> int:
     """
     raw = os.environ.get(_SCALE_ENV, "").strip().lower()
     if not raw:
-        return default
+        return DEFAULT_BENCH_TUPLES
     if raw == "paper":
         return PAPER_N_TUPLES
     try:
@@ -66,16 +61,6 @@ def bench_tuples(default: int = DEFAULT_BENCH_TUPLES) -> int:
             f"{_SCALE_ENV} must be positive, got {n}"
         )
     return n
-
-
-def exec_bench_tuples() -> int:
-    """Table size for executed (both-backend) benches.
-
-    Honors ``REPRO_BENCH_SCALE`` like :func:`bench_tuples`, but defaults
-    to :data:`DEFAULT_EXEC_BENCH_TUPLES` because the scalar backend runs
-    tuple-at-a-time in the interpreter.
-    """
-    return bench_tuples(default=DEFAULT_EXEC_BENCH_TUPLES)
 
 
 def scale_label(n: int) -> str:

@@ -11,12 +11,8 @@ Commands:
   relation store chunk by chunk and joined with columns paging in
   lazily instead of ever materializing in RAM.
 * ``sweep``  — Figure-4-style zipf sweep.
-* ``bench``  — regenerate one of the paper's tables/figures, or record /
-  compare executed wall-time snapshots (the CI regression gate).
-  ``--oocore`` records/compares the out-of-core scale tier instead: a
-  dataset larger than the memory budget is streamed to disk and joined
-  on every backend in a fresh measurement child, asserting
-  bit-identical answers with peak RSS under the budget.
+* ``bench``  — regenerate one of the paper's tables/figures (simulated
+  seconds; wall time is measured by ``perf/run.py``).
 * ``diff``   — backend differential (scalar vs vector vs parallel)
   across the full algorithm x dataset grid (exit 1 on any divergence).
   ``--spill`` runs the spill column instead: every backend re-joins
@@ -62,8 +58,6 @@ Examples::
     python -m repro run --theta 0.9 --all --counters
     python -m repro sweep --tuples 1048576 --analytic
     python -m repro bench table1
-    python -m repro bench --record --tag seed
-    python -m repro bench --compare BENCH_seed.json --json gate.json
     python -m repro run --backend parallel --theta 1.0 --tuples 262144
     python -m repro diff --tuples 4096
     python -m repro diff --backends vector,parallel
@@ -78,8 +72,6 @@ Examples::
     python -m repro diff --spill --tuples 2048
     python -m repro run --stream /tmp/oocore --tuples 262144 --theta 0.5
     python -m repro diff --oocore --tuples 2048
-    python -m repro bench --oocore --record --tag seed
-    python -m repro bench --oocore --compare BENCH_oocore_seed.json
     python -m repro chaos --spill --seed 42 --artifact-dir chaos-art
     python -m repro serve --port 7654 --trace-out serve-trace.jsonl
     python -m repro serve --smoke --trace-out smoke-trace.jsonl
@@ -108,31 +100,10 @@ from repro.bench.experiments import (
     run_table1,
 )
 from repro.bench.tables import render_series
-from repro.bench.regression import (
-    DEFAULT_BENCH_SEED,
-    DEFAULT_BENCH_THETA,
-    DEFAULT_REGRESSION_THRESHOLD,
-    DEFAULT_REPEATS,
-    bench_path,
-    compare_benches,
-    comparison_to_dict,
-    load_bench,
-    record_bench,
-    save_bench,
-)
-from repro.bench.oocore import (
-    DEFAULT_OOCORE_N_S,
-    compare_oocore_benches,
-    load_oocore_bench,
-    oocore_bench_path,
-    record_oocore_bench,
-    render_oocore,
-    save_oocore_bench,
-)
 from repro.data.io import load_join_input, save_join_input
 from repro.data.stream import stream_zipf_input
 from repro.data.zipf import ZipfWorkload
-from repro.errors import BaselineError, ReproError
+from repro.errors import ReproError
 from repro.exec.backend import (
     BACKENDS,
     BACKEND_ENV,
@@ -263,64 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default="0,0.25,0.5,0.75,1.0",
                          help="comma-separated zipf factors")
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="regenerate a paper experiment, or record/compare executed "
-             "wall-time snapshots")
-    bench_p.add_argument("experiment", nargs="?",
-                         choices=sorted(BENCH_COMMANDS),
-                         help="paper experiment to regenerate (omit when "
-                              "using --record/--compare)")
-    bench_p.add_argument("--record", action="store_true",
-                         help="execute the bench matrix and write "
-                              "BENCH_<tag>.json")
-    bench_p.add_argument("--compare", metavar="BASELINE",
-                         help="record a candidate under the baseline's "
-                              "settings and gate it (exit 1 on regression)")
-    bench_p.add_argument("--tag", default="candidate",
-                         help="snapshot tag for --record (default "
-                              "'candidate' -> BENCH_candidate.json)")
-    bench_p.add_argument("--dir", default=".",
-                         help="directory for --record output (default .)")
-    bench_p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                         help="runs per (algorithm, backend) case "
-                              f"(default {DEFAULT_REPEATS})")
-    bench_p.add_argument("--threshold", type=float,
-                         default=DEFAULT_REGRESSION_THRESHOLD,
-                         help="fractional wall-time regression that fails "
-                              "--compare (default 0.25)")
-    bench_p.add_argument("--spill", action="store_true",
-                         help="with --record: capture the spilled scale "
-                              "tier — every run executes under a forced "
-                              "memory budget through the on-disk chunk "
-                              "store (--compare inherits the baseline's "
-                              "spill settings automatically)")
-    bench_p.add_argument("--save-candidate", metavar="FILE",
-                         help="also write the --compare candidate snapshot "
-                              "to FILE (the CI artifact)")
-    bench_p.add_argument("--json", metavar="FILE", dest="json_out",
-                         help="with --compare: also write the machine-"
-                              "readable comparison (verdict, per-phase "
-                              "deltas, speedups) to FILE")
-    bench_p.add_argument("--auto", action="store_true",
-                         help="attach the adaptive planner to --record/"
-                              "--compare: every case gains predicted-vs-"
-                              "realized planner cost columns (surfaced "
-                              "by --compare --json when present)")
-    bench_p.add_argument("--oocore", action="store_true",
-                         help="record/compare the out-of-core scale tier "
-                              "instead: stream a dataset larger than the "
-                              "memory budget to disk, join it on every "
-                              "backend in a fresh measurement child, and "
-                              "assert bit-identical answers with peak "
-                              "RSS under the budget "
-                              "(BENCH_oocore_<tag>.json)")
-    bench_p.add_argument("--oocore-tuples", type=int, metavar="N",
-                         help="with --oocore --record: probe-side tuple "
-                              "count for the tier (default "
-                              f"{DEFAULT_OOCORE_N_S}); smaller values "
-                              "make a CI smoke leg, the default is the "
-                              "committed seed scale")
+    bench_p = sub.add_parser("bench",
+                             help="regenerate one of the paper's experiments")
+    bench_p.add_argument("experiment", choices=sorted(BENCH_COMMANDS),
+                         help="paper experiment to regenerate")
 
     diff_p = sub.add_parser(
         "diff", help="scalar-vs-vector differential across all algorithms")
@@ -697,118 +614,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.record and args.compare:
-        print("error: --record and --compare are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.oocore:
-        return _cmd_bench_oocore(args)
-    if args.oocore_tuples is not None:
-        print("error: --oocore-tuples only applies with --oocore",
-              file=sys.stderr)
-        return 2
-    planner = None
-    if args.auto:
-        from repro.plan import CorrectionStore, Planner
-        planner = Planner(corrections=CorrectionStore())
-    if args.record:
-        spill_budget = None
-        if args.spill:
-            from repro.bench.runner import exec_bench_tuples
-            n = exec_bench_tuples()
-            spill_budget = max(12 * 2 * n // 4, 1)
-        record = record_bench(args.tag, repeats=args.repeats,
-                              spill_budget_bytes=spill_budget,
-                              planner=planner)
-        path = save_bench(record, bench_path(args.tag, args.dir))
-        speedup = record.median_speedup()
-        extra = (f", median vector speedup {speedup:.1f}x"
-                 if speedup is not None else "")
-        if record.spill_budget_bytes is not None:
-            extra += (f", spilled tier under a "
-                      f"{record.spill_budget_bytes}-byte budget")
-        print(f"bench snapshot written to {path} "
-              f"({record.n_tuples} tuples, {record.repeats} repeats{extra})")
-        return 0
-    if args.compare:
-        try:
-            baseline = load_bench(args.compare)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        candidate = record_bench(
-            "candidate", n_tuples=baseline.n_tuples, theta=baseline.theta,
-            seed=baseline.seed, repeats=args.repeats,
-            backends=baseline.backends,
-            algorithms=[c.algorithm for c in baseline.cases],
-            spill_budget_bytes=baseline.spill_budget_bytes,
-            planner=planner,
-        )
-        if args.save_candidate:
-            save_bench(candidate, args.save_candidate)
-        comparison = compare_benches(baseline, candidate,
-                                     threshold=args.threshold)
-        if args.json_out:
-            import json
-            from pathlib import Path
-            out = Path(args.json_out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(comparison_to_dict(comparison),
-                                      indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-            print(f"comparison JSON written to {out}")
-        print(comparison.render())
-        return 0 if comparison.ok else 1
-    if args.experiment is None:
-        print("error: give an experiment name, or --record / --compare",
-              file=sys.stderr)
-        return 2
     BENCH_COMMANDS[args.experiment]()
     return 0
-
-
-def _cmd_bench_oocore(args) -> int:
-    """``repro bench --oocore``: the out-of-core scale tier."""
-    if args.spill or args.auto:
-        print("error: --oocore cannot be combined with --spill/--auto",
-              file=sys.stderr)
-        return 2
-    if args.record:
-        n_s = (args.oocore_tuples if args.oocore_tuples is not None
-               else DEFAULT_OOCORE_N_S)
-        # Scale the build side with the probe side so a smoke-sized
-        # tier keeps the seed tier's shape (and its skew behaviour).
-        n_r = max(n_s >> 6, 1 << 10)
-        record = record_oocore_bench(args.tag, n_r=n_r, n_s=n_s)
-        path = save_oocore_bench(record,
-                                 oocore_bench_path(args.tag, args.dir))
-        print(render_oocore(record))
-        print(f"oocore snapshot written to {path}")
-        return 0 if not record.verify() else 1
-    if args.compare:
-        try:
-            baseline = load_oocore_bench(args.compare)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        candidate = record_oocore_bench(
-            "candidate", n_r=baseline.n_r, n_s=baseline.n_s,
-            theta=baseline.theta, seed=baseline.seed,
-            algorithm=baseline.algorithm, codec=baseline.codec,
-            chunk_tuples=baseline.chunk_tuples,
-            cache_segments=baseline.cache_segments,
-            n_threads=baseline.n_threads,
-            budget_bytes=baseline.budget_bytes,
-            backends=[run.backend for run in baseline.runs])
-        if args.save_candidate:
-            save_oocore_bench(candidate, args.save_candidate)
-        comparison = compare_oocore_benches(baseline, candidate,
-                                            threshold=args.threshold)
-        print(comparison.render())
-        return 0 if comparison.ok else 1
-    print("error: --oocore requires --record or --compare",
-          file=sys.stderr)
-    return 2
 
 
 def _cmd_plan(args) -> int:

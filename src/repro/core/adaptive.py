@@ -15,8 +15,8 @@ from repro.core.csh.detector import detect_skewed_keys
 from repro.core.csh.pipeline import CSHConfig, CSHJoin
 from repro.cpu.radix_join import CbaseConfig, CbaseJoin
 from repro.data.relation import JoinInput
-from repro.exec.phase import PhaseTimer
 from repro.exec.result import JoinResult
+from repro.obs.trace import current_tracer
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,21 @@ class AdaptiveJoin:
     def run(self, join_input: JoinInput) -> JoinResult:
         """Sample R, then run Cbase (no skew) or CSH (skew detected)."""
         cfg = self.config
-        with PhaseTimer("probe-sample") as timer:
+        with current_tracer().span("probe-sample", algo=self.name) as span:
             detection = detect_skewed_keys(
                 join_input.r.keys,
                 sample_rate=cfg.csh.sample_rate,
                 freq_threshold=cfg.csh.freq_threshold,
                 seed=cfg.csh.sample_seed,
             )
-            timer.finish(
+            span.finish(
                 simulated_seconds=(
                     cfg.csh.cost_model.seconds(detection.counters)
                     / cfg.csh.n_threads),
                 counters=detection.counters,
                 skewed_keys=float(detection.n_skewed),
             )
-        sample_phase = timer.result
+        sample_phase = span.phase_result
 
         if detection.n_skewed >= cfg.min_skewed_keys:
             inner = CSHJoin(cfg.csh).run(join_input)

@@ -316,7 +316,3 @@ class ChainedHashTable:
             if random_access:
                 counters.random_accesses += steps + ns
         return summary
-
-
-# Backwards-compatible aliases for internal callers.
-_emit_matches = emit_matches

@@ -80,17 +80,6 @@ class ArtifactCorruptionError(ReproError):
         self.report = report
 
 
-class BaselineError(ReproError):
-    """A benchmark baseline is missing, unreadable, or schema-incompatible.
-
-    Raised by the bench comparator instead of surfacing raw ``OSError`` /
-    ``json.JSONDecodeError`` / ``KeyError`` stack traces.  The message
-    always says how to repair the state (usually: re-record the baseline
-    with ``repro bench --record``); machine-readable specifics (path,
-    found/expected schema version) live in :attr:`ReproError.context`.
-    """
-
-
 class ServeError(ReproError):
     """A join-service request cannot be satisfied (unknown relation,
     unknown version, malformed request body)."""

@@ -13,7 +13,6 @@ from repro.exec.output import (
     OutputSummary,
     combine_summaries,
 )
-from repro.exec.phase import PhaseTimer
 from repro.exec.report import comparison_report, result_report
 from repro.exec.serialize import (
     result_from_dict,
@@ -35,7 +34,6 @@ __all__ = [
     "OutputSummary",
     "combine_summaries",
     "DEFAULT_CAPACITY",
-    "PhaseTimer",
     "JoinResult",
     "PhaseResult",
     "compare_results",

@@ -1,11 +1,11 @@
 """Peak resident-set-size sampling for machine-checked memory claims.
 
-The out-of-core tier promises that a run whose dataset exceeds
+The out-of-core path promises that a run whose dataset exceeds
 ``REPRO_MEMORY_BUDGET`` keeps its resident footprint under the budget.
 A promise like that is only worth something when it is measured, so
 every pipeline stamps ``peak_rss_bytes`` into ``JoinResult.meta`` and
-the oocore bench harness records both the interpreter baseline and the
-run's high-water mark.
+``tests/store/test_oocore_memory_bound.py`` checks both the interpreter
+baseline and the run's high-water mark.
 
 Measurement source matters here.  On Linux, ``getrusage``'s
 ``ru_maxrss`` is inherited across ``fork``/``exec`` — a child spawned
@@ -16,7 +16,7 @@ is what a fresh measurement child actually earned; it is preferred
 whenever procfs is available, with ``ru_maxrss`` as the portable
 fallback.  Either way the value is a process-lifetime high-water mark:
 meaningful bounds are deltas against a baseline captured before the
-workload opens (see :mod:`repro.bench.oocore`).
+workload opens (see ``tests/store/test_oocore_memory_bound.py``).
 """
 
 from __future__ import annotations

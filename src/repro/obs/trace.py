@@ -76,7 +76,7 @@ class Span:
         task_count: int = 0,
         **details: float,
     ) -> None:
-        """Record the span outcome (same contract as ``PhaseTimer.finish``)."""
+        """Record the span outcome; negative simulated time is an error."""
         if simulated_seconds < 0:
             raise ExecutionError(
                 f"span {self.name!r} reported negative simulated time"
@@ -206,8 +206,7 @@ class Tracer:
 
         The span must either be ``finish()``-ed inside the block or end up
         with children (whose simulated times it then sums); exiting cleanly
-        with neither raises :class:`ExecutionError`, exactly like the
-        legacy ``PhaseTimer``.
+        with neither raises :class:`ExecutionError`.
         """
         span = Span(name=name, attrs=attrs)
         parent = self._stack[-1] if self._stack else None

@@ -34,7 +34,6 @@ from repro.plan.gate import (
     run_plan_gate,
 )
 from repro.plan.planner import (
-    DEFAULT_BOOTSTRAP_BENCH,
     PLAN_META_KEY,
     Plan,
     PlanCandidate,
@@ -59,7 +58,6 @@ __all__ = [
     "Constraints",
     "CorrectionStore",
     "CORRECTIONS_ENV",
-    "DEFAULT_BOOTSTRAP_BENCH",
     "DEFAULT_GATE_TUPLES",
     "DEFAULT_REGRET_THRESHOLD",
     "Feasibility",

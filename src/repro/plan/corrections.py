@@ -8,8 +8,7 @@ per (algorithm, phase, backend):
 
     predicted_wall = sim_seconds * base_backend_factor * correction
 
-Factors start from the committed ``BENCH_seed.json`` snapshot (the
-cold-start calibration: median wall / simulated ratio per phase) and are
+Unobserved factors are 1.0 (the backend's base prior alone); they are
 refined with an EWMA (:func:`repro.exec.cost_model.blend_correction`) as
 planned runs complete — either live via :meth:`CorrectionStore.observe`
 or in bulk from the JSONL trace history every planned
@@ -91,7 +90,7 @@ class CorrectionStore:
                 }
         except (OSError, ValueError, KeyError, TypeError):
             # Corrupt corrections are a stale cache, not an error: the
-            # planner falls back to bootstrap/base factors and re-learns.
+            # planner falls back to the base factors and re-learns.
             self._factors = {}
 
     def save(self) -> Optional[Path]:
@@ -154,18 +153,6 @@ class CorrectionStore:
             entry["observations"] += 1
         return factors[key]["factor"]
 
-    def seed_factor(self, algorithm: str, phase: str, backend: str,
-                    factor: float) -> None:
-        """Install a bootstrap factor without counting an observation.
-
-        Existing learned entries win: bootstrap only fills gaps.
-        """
-        factors = self._ensure_loaded()
-        key = (algorithm, phase, backend)
-        if key not in factors:
-            factors[key] = {"factor": clamp_correction(factor),
-                            "observations": 0}
-
     # ------------------------------------------------------------------
     # bulk learning
 
@@ -204,43 +191,3 @@ class CorrectionStore:
         from repro.exec.serialize import results_from_jsonl_file
         return self.learn_from_results(
             results_from_jsonl_file(path, tolerant=True))
-
-    def bootstrap_from_bench(self, record) -> int:
-        """Seed factors from a committed bench snapshot (cold start).
-
-        ``record`` is a :class:`~repro.bench.regression.BenchRecord`; for
-        every (algorithm, phase, backend) it holds, the seeded factor is
-        the snapshot's median wall over the *base* wall prediction for
-        that backend at the snapshot's worker count.  Learned entries are
-        never overwritten.
-        """
-        from repro.plan.predict import base_wall_factor
-
-        seeded = 0
-        for case in record.cases:
-            for phase in case.phases:
-                if phase.simulated_seconds <= 0:
-                    continue
-                for backend, wall in phase.wall_seconds.items():
-                    base = (phase.simulated_seconds
-                            * base_wall_factor(backend, record.worker_count))
-                    if base <= 0 or wall <= 0:
-                        continue
-                    self.seed_factor(case.algorithm, phase.name, backend,
-                                     wall / base)
-                    seeded += 1
-        return seeded
-
-    def bootstrap_from_bench_file(self, path: Union[str, Path]) -> int:
-        """Like :meth:`bootstrap_from_bench` from a BENCH_*.json path.
-
-        Missing or unreadable baselines seed nothing — bootstrap is
-        best-effort by design.
-        """
-        from repro.bench.regression import load_bench
-        from repro.errors import BaselineError
-        try:
-            record = load_bench(path)
-        except BaselineError:
-            return 0
-        return self.bootstrap_from_bench(record)

@@ -36,8 +36,7 @@ from repro.exec.backend import VECTOR, use_backend
 from repro.exec.differential import compare_results, default_datasets
 from repro.plan.candidates import CandidatePoint, Constraints
 from repro.plan.corrections import CorrectionStore
-from repro.plan.planner import DEFAULT_BOOTSTRAP_BENCH, Plan, Planner, \
-    pinned_workers
+from repro.plan.planner import Planner, pinned_workers
 
 #: Default gate scale: small enough for a CI smoke leg, big enough that
 #: the backends meaningfully separate.  Nightly runs 4x this.
@@ -206,14 +205,12 @@ def run_plan_gate(
     threshold: float = DEFAULT_REGRET_THRESHOLD,
     backends: Optional[Sequence[str]] = DEFAULT_GATE_BACKENDS,
     out_dir: Optional[str] = None,
-    bootstrap_bench: Optional[str] = DEFAULT_BOOTSTRAP_BENCH,
     floor_seconds: float = GATE_WALL_FLOOR_SECONDS,
 ) -> GateReport:
     """Measure planner regret over the diff grid; write CI artifacts."""
     constraints = Constraints.from_environment(backends=backends)
     planner = Planner(corrections=CorrectionStore(),  # in-memory
-                      constraints=constraints,
-                      bootstrap_bench=bootstrap_bench)
+                      constraints=constraints)
     datasets = default_datasets(n_tuples, seed)
 
     # Calibration workload: same scale, disjoint seed — the gate must

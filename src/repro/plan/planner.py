@@ -46,9 +46,6 @@ from repro.plan.sketch import (
 #: The meta key planned results carry their bookkeeping under.
 PLAN_META_KEY = "plan"
 
-#: Default committed bench snapshot used for cold-start calibration.
-DEFAULT_BOOTSTRAP_BENCH = "BENCH_seed.json"
-
 
 @dataclass
 class PlanCandidate:
@@ -202,7 +199,6 @@ class Planner:
         sample_rate: float = DEFAULT_SAMPLE_RATE,
         seed: int = 0,
         exact_below: int = DEFAULT_EXACT_BELOW,
-        bootstrap_bench: Optional[str] = DEFAULT_BOOTSTRAP_BENCH,
     ):
         self.constraints = constraints or Constraints.from_environment()
         self.sample_rate = sample_rate
@@ -212,10 +208,6 @@ class Planner:
             from repro.plan.corrections import corrections_path_from_env
             corrections = CorrectionStore(path=corrections_path_from_env())
         self.corrections = corrections
-        # Cold-start calibration: the committed bench snapshot's
-        # wall/sim ratios fill every factor no trace has taught yet.
-        if bootstrap_bench is not None and os.path.exists(bootstrap_bench):
-            self.corrections.bootstrap_from_bench_file(bootstrap_bench)
 
     # ------------------------------------------------------------------
     # planning

@@ -11,9 +11,9 @@ second, so a candidate's predicted wall is::
 
 The base factors are deliberately coarse priors (scalar interprets
 tuple-at-a-time Python; vector runs NumPy kernels; parallel is vector
-plus an Amdahl-style speedup on its morsel phases).  The committed
-``BENCH_seed.json`` bootstrap and the learned corrections carry the
-per-algorithm, per-phase truth — see :mod:`repro.plan.corrections`.
+plus an Amdahl-style speedup on its morsel phases).  The learned
+corrections carry the per-algorithm, per-phase truth — see
+:mod:`repro.plan.corrections`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from repro.plan.candidates import CandidatePoint
 from repro.plan.corrections import CorrectionStore
 
 #: Wall seconds per simulated second, cold-start prior per backend.  The
-#: scalar figure comes from the committed bench snapshot's median
-#: scalar/vector ratio (~12x at the bench scale); vector is the
-#: reference the cost model was calibrated against.
+#: scalar figure is the measured median scalar/vector wall ratio (~12x at
+#: 65 536 tuples per table); vector is the reference the cost model was
+#: calibrated against.
 BASE_WALL_PER_SIM: Dict[str, float] = {
     SCALAR: 12.0,
     VECTOR: 1.0,

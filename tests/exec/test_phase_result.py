@@ -1,11 +1,16 @@
-"""Tests for PhaseTimer and JoinResult containers."""
+"""Tests for phase timing and the JoinResult and PhaseResult containers.
+
+Pipelines time a phase with ``current_tracer().span(...)`` and read its
+``PhaseResult`` back from ``span.phase_result``; with no tracer active
+that goes through the null tracer, which is what these tests exercise.
+"""
 
 import pytest
 
 from repro.errors import ExecutionError
 from repro.exec.counters import OpCounters
-from repro.exec.phase import PhaseTimer
 from repro.exec.result import JoinResult, PhaseResult, compare_results
+from repro.obs.trace import current_tracer
 
 
 def make_result(algorithm="alg", count=10, checksum=99, phases=()):
@@ -16,11 +21,12 @@ def make_result(algorithm="alg", count=10, checksum=99, phases=()):
 
 
 def test_phase_timer_records_simulated_and_wall():
-    with PhaseTimer("build") as timer:
-        timer.finish(simulated_seconds=1.5,
-                     counters=OpCounters(hash_ops=3),
-                     task_count=2, foo=1.0)
-    result = timer.result
+    with current_tracer().span("build") as span:
+        span.finish(simulated_seconds=1.5,
+                    counters=OpCounters(hash_ops=3),
+                    task_count=2, foo=1.0)
+    result = span.phase_result
+    assert isinstance(result, PhaseResult)
     assert result.name == "build"
     assert result.simulated_seconds == 1.5
     assert result.counters.hash_ops == 3
@@ -31,19 +37,19 @@ def test_phase_timer_records_simulated_and_wall():
 
 def test_phase_timer_requires_finish():
     with pytest.raises(ExecutionError):
-        with PhaseTimer("p"):
+        with current_tracer().span("p"):
             pass
 
 
 def test_phase_timer_rejects_negative_time():
     with pytest.raises(ExecutionError):
-        with PhaseTimer("p") as timer:
-            timer.finish(simulated_seconds=-1.0)
+        with current_tracer().span("p") as span:
+            span.finish(simulated_seconds=-1.0)
 
 
 def test_phase_timer_propagates_exceptions():
     with pytest.raises(RuntimeError):
-        with PhaseTimer("p"):
+        with current_tracer().span("p"):
             raise RuntimeError("boom")
 
 

@@ -93,7 +93,7 @@ def test_empty_constraint_set_is_a_config_error():
     from repro.errors import ConfigError
     from repro.plan import Planner
     from repro.data.generators import uniform_input
-    planner = Planner(bootstrap_bench=None)
+    planner = Planner()
     with pytest.raises(ConfigError):
         planner.plan(uniform_input(100, 100, n_keys=10, seed=1),
                      Constraints(algorithms=(), backends=()))

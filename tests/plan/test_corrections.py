@@ -1,4 +1,4 @@
-"""The learned correction store: EWMA updates, persistence, bootstrap."""
+"""The learned correction store: EWMA updates and persistence."""
 
 import json
 
@@ -34,16 +34,6 @@ def test_zero_base_observations_are_ignored():
     store = CorrectionStore()
     assert store.observe("csh", "probe", "vector", 0.0, 1.0) == 1.0
     assert len(store) == 0
-
-
-def test_seed_factor_fills_gaps_but_never_overwrites():
-    store = CorrectionStore()
-    store.observe("csh", "probe", "vector", 1.0, 3.0)
-    store.seed_factor("csh", "probe", "vector", 0.5)
-    assert store.factor("csh", "probe", "vector") == pytest.approx(3.0)
-    store.seed_factor("csh", "build", "vector", 0.5)
-    assert store.factor("csh", "build", "vector") == pytest.approx(0.5)
-    assert store.observations("csh", "build", "vector") == 0
 
 
 def test_save_and_reload_round_trips(tmp_path):
@@ -114,7 +104,7 @@ def test_learn_from_jsonl_round_trip(tmp_path):
     from repro.exec.serialize import append_results_jsonl
     from repro.plan import Planner
 
-    planner = Planner(corrections=CorrectionStore(), bootstrap_bench=None)
+    planner = Planner(corrections=CorrectionStore())
     result = planner.run(uniform_input(500, 500, n_keys=50, seed=3),
                          learn=False)
     artifact = tmp_path / "traces.jsonl"
@@ -125,20 +115,3 @@ def test_learn_from_jsonl_round_trip(tmp_path):
     plan = result.meta["plan"]
     assert fresh.observations(plan["algorithm"], plan["phases"][0]["name"],
                               plan["backend"]) >= 1
-
-
-def test_bootstrap_from_missing_bench_is_best_effort(tmp_path):
-    store = CorrectionStore()
-    assert store.bootstrap_from_bench_file(tmp_path / "absent.json") == 0
-    assert len(store) == 0
-
-
-def test_bootstrap_from_the_committed_baseline_seeds_factors():
-    store = CorrectionStore()
-    seeded = store.bootstrap_from_bench_file("BENCH_seed.json")
-    assert seeded > 0
-    # Seeds fill gaps only; they never count as observations.
-    assert all(
-        entry["observations"] == 0
-        for entry in store._ensure_loaded().values()
-    )

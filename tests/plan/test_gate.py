@@ -8,8 +8,7 @@ from repro.plan import run_plan_gate
 
 def test_gate_passes_and_writes_artifacts(tmp_path):
     report = run_plan_gate(n_tuples=1500, seed=42, repeats=1,
-                           backends=(VECTOR,), out_dir=str(tmp_path),
-                           bootstrap_bench=None)
+                           backends=(VECTOR,), out_dir=str(tmp_path))
     # At this scale every oracle sits under the timing floor, so the
     # regret check auto-passes — but bit-identity must hold for real.
     assert report.ok, report.render()
@@ -31,7 +30,7 @@ def test_gate_passes_and_writes_artifacts(tmp_path):
 
 def test_gate_report_renders_a_verdict(tmp_path):
     report = run_plan_gate(n_tuples=1000, seed=7, repeats=1,
-                           backends=(VECTOR,), bootstrap_bench=None)
+                           backends=(VECTOR,))
     text = report.render()
     assert "PASS" in text
     assert "regret threshold 2.0x" in text
@@ -41,7 +40,7 @@ def test_gate_report_renders_a_verdict(tmp_path):
 
 def test_regret_is_picked_over_oracle():
     report = run_plan_gate(n_tuples=1000, seed=7, repeats=1,
-                           backends=(VECTOR,), bootstrap_bench=None)
+                           backends=(VECTOR,))
     for d in report.datasets:
         picked = [m for m in d.measurements if m.picked]
         assert len(picked) == 1

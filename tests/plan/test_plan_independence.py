@@ -67,8 +67,7 @@ def _forced_env(point):
 def _fresh_planner(**constraint_overrides):
     constraints = Constraints.from_environment(**constraint_overrides) \
         if constraint_overrides else None
-    return Planner(corrections=CorrectionStore(), constraints=constraints,
-                   bootstrap_bench=None)
+    return Planner(corrections=CorrectionStore(), constraints=constraints)
 
 
 def _outcome(fn):

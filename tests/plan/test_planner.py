@@ -21,8 +21,8 @@ from tests.conftest import assert_result_correct
 
 @pytest.fixture
 def planner():
-    """In-memory planner with no bench bootstrap: fully deterministic."""
-    return Planner(corrections=CorrectionStore(), bootstrap_bench=None)
+    """In-memory planner: fully deterministic."""
+    return Planner(corrections=CorrectionStore())
 
 
 @pytest.fixture
@@ -76,8 +76,7 @@ def test_planned_run_is_bit_identical_to_forced(planner, workload):
     from repro.plan import pinned_workers
 
     result = planner.run(workload, learn=False)
-    point = Planner(corrections=CorrectionStore(),
-                    bootstrap_bench=None).plan(workload).chosen.point
+    point = Planner(corrections=CorrectionStore()).plan(workload).chosen.point
     with use_backend(point.backend), pinned_workers(point):
         forced = make_join(point.algorithm).run(workload)
     assert compare_results(result, forced) == []

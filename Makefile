@@ -65,11 +65,12 @@ bench-paper:
 	REPRO_BENCH_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # The repository's wall-time benchmark (perf/README.md): the harness's
-# own tests, then all four workloads end to end.  Add `--trace` to
-# perf/run.py for the per-layer metrics.
+# own tests, all four workloads end to end, then a short traced run for
+# the per-layer metrics and the trace-coverage check (as the CI job does).
 perf:
 	$(PYTHON) -m pytest -q perf/tests
 	$(PYTHON) perf/run.py
+	$(PYTHON) perf/run.py --trace --seconds 5
 
 # Cross-backend differential over the full algorithm x dataset grid.
 diff-backends:

@@ -8,13 +8,19 @@ paper baselines against.  Two probe implementations are provided:
   probe tuples in lockstep — a literal rendition of the scalar algorithm,
   used at small scale to validate the fast path; and
 * :meth:`ChainedHashTable.probe_grouped` computes the *identical* operation
-  counts and output summary group-wise (every probe of bucket ``b`` walks
-  ``len(chain(b))`` nodes and compares keys at each node; matches per key
-  are cartesian products), which keeps Python-side work near-linear even
-  under heavy skew.
+  counts and output summary group-wise: every probe of bucket ``b`` walks
+  ``len(chain(b))`` nodes and compares keys at each node, and the matches
+  come from a :class:`~repro.exec.matching.KeyGroupIndex` of the entries
+  (one stable key sort, probed by binary search), which keeps Python-side
+  work near-linear even under heavy skew.  A caller that probes one table
+  many times builds the index once and passes it in.
 
-Both report the same counters, so the cost model cannot tell them apart —
-a property the test suite checks.
+Only the chain walk reads the ``heads``/``next`` links, so the batch
+backends' :meth:`~ChainedHashTable.build` records just the bucket of each
+entry and the chain lengths the counters need; the links are derived the
+first time something reads them.  Both probes report the same counters,
+so the cost model cannot tell them apart — a property the test suite
+checks.
 """
 
 from __future__ import annotations
@@ -25,13 +31,11 @@ import numpy as np
 
 from repro.cpu.hashing import bits_for, bucket_ids, hash_keys, next_pow2
 from repro.errors import CapacityError
-from repro.exec.backend import dispatch, is_vector
+from repro.exec.backend import is_vector
 from repro.exec.cancel import checkpoint
 from repro.exec.counters import OpCounters
-from repro.exec.matching import emit_matches
+from repro.exec.matching import KeyGroupIndex
 from repro.exec.output import JoinOutputBuffer, OutputSummary
-
-_U64_MASK = (1 << 64) - 1
 
 #: Scalar-build entries between cooperative cancellation checkpoints.
 _CHECKPOINT_STRIDE = 16384
@@ -44,8 +48,11 @@ class ChainedHashTable:
         n_buckets = next_pow2(n_buckets)
         self.n_buckets = n_buckets
         self.bucket_bits = bits_for(n_buckets)
-        self.heads = np.full(n_buckets, -1, dtype=np.int64)
-        self.next = np.empty(0, dtype=np.int64)
+        self._heads: Optional[np.ndarray] = np.full(n_buckets, -1,
+                                                    dtype=np.int64)
+        self._next: Optional[np.ndarray] = np.empty(0, dtype=np.int64)
+        #: Bucket of each entry, kept by a batch build until linked.
+        self._buckets: Optional[np.ndarray] = None
         self.keys = np.empty(0, dtype=np.uint32)
         self.payloads = np.empty(0, dtype=np.uint32)
         self._chain_lengths = np.zeros(n_buckets, dtype=np.int64)
@@ -55,6 +62,40 @@ class ChainedHashTable:
     def n_entries(self) -> int:
         """Number of stored entries."""
         return int(self.keys.size)
+
+    @property
+    def heads(self) -> np.ndarray:
+        """Per bucket, the most recently inserted entry (-1: empty)."""
+        if self._heads is None:
+            self._link()
+        return self._heads
+
+    @property
+    def next(self) -> np.ndarray:
+        """Per entry, the entry inserted before it in its bucket (-1: none)."""
+        if self._next is None:
+            self._link()
+        return self._next
+
+    def _link(self) -> None:
+        """Derive the head-insertion chains a scalar build would leave.
+
+        One stable sort by bucket lists each bucket's entries in insertion
+        order: each entry links to its predecessor there, and the bucket's
+        last entry is its head.
+        """
+        b = self._buckets
+        n = b.size
+        order = np.argsort(b, kind="stable")
+        sorted_b = b[order]
+        heads = np.full(self.n_buckets, -1, dtype=np.int64)
+        nxt = np.full(n, -1, dtype=np.int64)
+        if n:
+            same = sorted_b[1:] == sorted_b[:-1]
+            nxt[order[1:][same]] = order[:-1][same]
+            is_last = np.append(~same, True)
+            heads[sorted_b[is_last]] = order[is_last]
+        self._heads, self._next, self._buckets = heads, nxt, None
 
     def _bucket_of(self, hashes: np.ndarray) -> np.ndarray:
         return bucket_ids(hashes, self.bucket_bits)
@@ -87,30 +128,17 @@ class ChainedHashTable:
         b = self._bucket_of(hashes)
         checkpoint(structure="chained-hash-table", phase="build")
         if is_vector():
-            nxt = self._build_links_parallel(b)
-            if nxt is None:
-                # Batch link construction: one stable sort recovers, per
-                # bucket, the exact head-insertion chain the scalar loop
-                # would build.
-                order = np.argsort(b, kind="stable")
-                sorted_b = b[order]
-                nxt = np.full(n, -1, dtype=np.int64)
-                if n > 1:
-                    same = sorted_b[1:] == sorted_b[:-1]
-                    nxt[order[1:][same]] = order[:-1][same]
-                if n > 0:
-                    is_last = np.empty(n, dtype=bool)
-                    is_last[:-1] = sorted_b[:-1] != sorted_b[1:]
-                    is_last[-1] = True
-                    self.heads[sorted_b[is_last]] = order[is_last]
-                    self._chain_lengths = np.bincount(
-                        b, minlength=self.n_buckets)
+            # The batch probe reads only chain lengths; the links are
+            # derived from the buckets if a chain walk ever asks.
+            self._heads = self._next = None
+            self._buckets = b
+            self._chain_lengths = np.bincount(b, minlength=self.n_buckets)
         else:
             # Literal head insertion, one entry at a time; a deadline-
             # bearing request can abandon a huge scalar build between
             # strides instead of hanging to the end.
             nxt = np.full(n, -1, dtype=np.int64)
-            heads = self.heads
+            heads = self._heads
             chains = self._chain_lengths
             for i, bucket in enumerate(b.tolist()):
                 if not i % _CHECKPOINT_STRIDE:
@@ -119,7 +147,7 @@ class ChainedHashTable:
                 nxt[i] = heads[bucket]
                 heads[bucket] = i
                 chains[bucket] += 1
-        self.next = nxt
+            self._next = nxt
         self.keys = keys.copy()
         self.payloads = payloads.copy()
         self._built = True
@@ -130,46 +158,6 @@ class ChainedHashTable:
             counters.bytes_written += 12 * n  # entry + head pointer update
             if random_access:
                 counters.random_accesses += n
-
-    def _build_links_parallel(self, b: np.ndarray) -> Optional[np.ndarray]:
-        """Segmented head-insertion links on the worker pool.
-
-        Each worker builds the local chains of one contiguous segment of
-        the build input; the driver then stitches segments together in
-        index order (each segment's per-bucket first entry points at the
-        previous segment's last entry), which reproduces the sequential
-        head-insertion ``next``/``heads`` arrays exactly.  Returns None
-        when the pool is not engaged (caller falls through to the
-        single-shot vector construction).
-        """
-        from repro.cpu.segments import split_segments
-        from repro.exec.parallel import SharedArena, morsel_pool
-
-        n = b.size
-        pool = morsel_pool(n)
-        if pool is None:
-            return None
-        segments = split_segments(n, pool.n_workers)
-        with SharedArena(use_shm=pool.uses_processes) as arena:
-            b_ref = arena.share(b)
-            nxt_view, nxt_ref = arena.empty(n, np.int64)
-            nxt_view.fill(-1)
-            results = pool.run("chain_links", [
-                dict(buckets=b_ref, nxt=nxt_ref, a=a, b=hi)
-                for (a, hi) in segments
-            ])
-            nxt = nxt_view.copy() if pool.uses_processes else nxt_view
-        # Stitch: walk segments in index order; a bucket's first entry in
-        # a segment chains to its last entry in the previous segments.
-        prev_last = np.full(self.n_buckets, -1, dtype=np.int64)
-        for uniq, first_idx, last_idx in results:
-            if uniq.size == 0:
-                continue
-            nxt[first_idx] = prev_last[uniq]
-            prev_last[uniq] = last_idx
-        self.heads[:] = prev_last
-        self._chain_lengths = np.bincount(b, minlength=self.n_buckets)
-        return nxt
 
     def chain_length(self, bucket: int) -> int:
         """Entries chained in one bucket."""
@@ -189,19 +177,23 @@ class ChainedHashTable:
         counters: Optional[OpCounters] = None,
         hashes: Optional[np.ndarray] = None,
         random_access: bool = False,
+        index: Optional[KeyGroupIndex] = None,
     ) -> OutputSummary:
         """Probe on the ambient backend.
 
-        Vector and parallel select :meth:`probe_grouped` (group-wise batch
-        expansion; under the parallel backend its match stats and pair
-        expansion fan out over the worker pool), scalar selects
-        :meth:`probe_lockstep` (the literal chain walk).  All report
-        identical counters and output summaries, so backend choice never
-        shows up in results — only in wall time.
+        Vector and parallel select :meth:`probe_grouped` (group-wise
+        matching through ``index``, on the driver), scalar selects
+        :meth:`probe_lockstep` (the literal chain walk, which needs no
+        index).  All report identical counters and output summaries, so
+        backend choice never shows up in results — only in wall time.
         """
-        impl = dispatch(self.probe_lockstep, self.probe_grouped)
-        return impl(s_keys, s_payloads, buffer, counters=counters,
-                    hashes=hashes, random_access=random_access)
+        if not is_vector():
+            return self.probe_lockstep(s_keys, s_payloads, buffer,
+                                       counters=counters, hashes=hashes,
+                                       random_access=random_access)
+        return self.probe_grouped(s_keys, s_payloads, buffer,
+                                  counters=counters, hashes=hashes,
+                                  random_access=random_access, index=index)
 
     def probe_grouped(
         self,
@@ -211,14 +203,16 @@ class ChainedHashTable:
         counters: Optional[OpCounters] = None,
         hashes: Optional[np.ndarray] = None,
         random_access: bool = False,
+        index: Optional[KeyGroupIndex] = None,
     ) -> OutputSummary:
         """Probe all S tuples; group-wise fast path with exact counters.
 
         Each probe of bucket ``b`` accounts ``len(chain(b))`` chain steps
         and key compares (a chained-table probe must walk the full chain).
-        Matched pairs per key form cartesian products whose count and
-        checksum are accumulated in closed form; real pairs are written to
-        the ring buffer only while the expansion is small.
+        Matches come from ``index``, a :class:`KeyGroupIndex` of this
+        table's entries; without one, this call builds its own.  Real
+        pairs are written to the ring buffer only while the expansion is
+        small.
         """
         if not self._built:
             raise CapacityError(
@@ -242,9 +236,9 @@ class ChainedHashTable:
             counters.key_compares += steps
             if random_access:
                 counters.random_accesses += steps + ns
-        summary = emit_matches(
-            self.keys, self.payloads, s_keys, s_payloads, buffer
-        )
+        if index is None:
+            index = KeyGroupIndex(self.keys, self.payloads)
+        summary = index.emit(s_keys, s_payloads, buffer)
         if counters is not None:
             counters.output_tuples += summary.count
             counters.bytes_written += 8 * summary.count

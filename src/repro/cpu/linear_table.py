@@ -111,7 +111,6 @@ class LinearProbingCounter:
             displacement[rest] += 1
             unresolved = rest
         self.slot_keys[slot] = uniq
-        np.add.at(self.slot_counts, slot, 0)
         self.slot_counts[slot] = inv_counts
         if counters is not None:
             n = keys.size

@@ -16,6 +16,7 @@ backoff charged to the phase makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.cpu.chained_table import ChainedHashTable
 from repro.cpu.hashing import hash_keys, next_pow2
@@ -23,9 +24,10 @@ from repro.cpu.segments import split_segments
 from repro.cpu.threads import ThreadPool
 from repro.data.relation import JoinInput
 from repro.errors import ConfigError
-from repro.exec.backend import current_backend
+from repro.exec.backend import current_backend, is_vector
 from repro.exec.counters import OpCounters
 from repro.exec.cost_model import CPUCostModel, DEFAULT_CPU_COST_MODEL
+from repro.exec.matching import KeyGroupIndex
 from repro.exec.output import DEFAULT_CAPACITY, JoinOutputBuffer, combine_summaries
 from repro.exec.result import JoinResult
 from repro.faults.recovery import run_task_with_recovery
@@ -72,7 +74,7 @@ class NoPartitionJoin:
             metrics.counter("join.tuples_scanned").inc(len(r) + len(s))
 
             with tracer.span("build", algo=self.name) as span:
-                table, build_counters, overhead = self._build(r)
+                (table, index), build_counters, overhead = self._build(r)
                 per_thread = self._split_counters(build_counters, len(r),
                                                   cfg.n_threads)
                 span.finish(
@@ -84,7 +86,8 @@ class NoPartitionJoin:
             result.phases.append(span.phase_result)
 
             with tracer.span("probe", algo=self.name) as span:
-                per_thread, extras, summaries, total = self._probe(table, s)
+                per_thread, extras, summaries, total = self._probe(
+                    table, index, s)
                 span.finish(
                     simulated_seconds=self.pool.static_phase_seconds(
                         per_thread, extra_seconds=extras),
@@ -104,8 +107,12 @@ class NoPartitionJoin:
     def _build(self, r):
         """Build the global table, regrowing on capacity overflow.
 
-        Returns ``(table, counters, overhead_seconds)`` where the overhead
-        is the per-thread cost of wasted build attempts plus backoff.
+        Returns ``((table, index), counters, overhead_seconds)`` where the
+        overhead is the per-thread cost of wasted build attempts plus
+        backoff.  On the batch backends ``index`` is the table's
+        :class:`KeyGroupIndex`, built here so its cost lands in the build
+        phase and every probe segment shares it; the scalar chain walk
+        needs none.
         """
         cfg = self.config
         scope = current_fault_scope()
@@ -115,7 +122,9 @@ class NoPartitionJoin:
                 next_pow2(max(len(r), 1)) << min(attempt, 8))
             table.build(r.keys, r.payloads, counters=counters,
                         random_access=True)
-            return table
+            index = (KeyGroupIndex(table.keys, table.payloads)
+                     if is_vector() else None)
+            return table, index
 
         outcome = run_task_with_recovery(run, scope, points=("capacity",),
                                          structure="global-chained-table")
@@ -137,7 +146,8 @@ class NoPartitionJoin:
             ))
         return per_thread
 
-    def _probe(self, table: ChainedHashTable, s):
+    def _probe(self, table: ChainedHashTable,
+               index: Optional[KeyGroupIndex], s):
         """Probe S in per-thread segments against the global table.
 
         Each segment is one task for the recovery engine: an injected
@@ -169,15 +179,16 @@ class NoPartitionJoin:
 
             def run(counters: OpCounters, attempt: int, seg_keys=seg_keys,
                     seg_payloads=seg_payloads, seg_hashes=seg_hashes):
-                # The probe dispatches on the ambient backend: batched
-                # group-wise matching (vector) or the literal chain walk
-                # (scalar).  Counters are identical either way; every
-                # access against the global table is random (uncached).
+                # The probe dispatches on the ambient backend: group-wise
+                # matching through the shared index (vector, parallel) or
+                # the literal chain walk (scalar).  Counters are identical
+                # either way; every access against the global table is
+                # random (uncached).
                 buf = JoinOutputBuffer(cfg.output_capacity)
                 return table.probe(
                     seg_keys, seg_payloads, buf,
                     counters=counters, hashes=seg_hashes,
-                    random_access=True,
+                    random_access=True, index=index,
                 )
 
             outcome = run_task_with_recovery(run, scope, points=("task",),

@@ -95,6 +95,17 @@ def join_output_count(hist_r: KeyHistogram, hist_s: KeyHistogram) -> int:
     return int(np.sum(cr.astype(object) * cs.astype(object)))
 
 
+def _payload_sums(rel: Relation):
+    """(unique keys, per-key payload sums mod 2**64), exact in uint64."""
+    order = np.argsort(rel.keys)
+    keys = rel.keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(rel.payloads[order].astype(np.uint64), starts)
+    return keys[starts], sums
+
+
 def join_output_checksum(r: Relation, s: Relation) -> int:
     """Ground-truth checksum: sum over matched pairs of rpay * spay mod 2**64.
 
@@ -102,13 +113,8 @@ def join_output_checksum(r: Relation, s: Relation) -> int:
     * (sum S payloads with key k); works because multiplication distributes
     over addition modulo 2**64.
     """
-    checksum = 0
-    r_keys, r_inv = np.unique(r.keys, return_inverse=True)
-    s_keys, s_inv = np.unique(s.keys, return_inverse=True)
-    r_sums = np.zeros(r_keys.size, dtype=np.uint64)
-    s_sums = np.zeros(s_keys.size, dtype=np.uint64)
-    np.add.at(r_sums, r_inv, r.payloads.astype(np.uint64))
-    np.add.at(s_sums, s_inv, s.payloads.astype(np.uint64))
+    r_keys, r_sums = _payload_sums(r)
+    s_keys, s_sums = _payload_sums(s)
     shared, idx_r, idx_s = np.intersect1d(
         r_keys, s_keys, assume_unique=True, return_indices=True
     )

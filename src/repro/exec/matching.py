@@ -5,6 +5,11 @@ pairs while small) between two tuple sets, group-wise by key.  They are the
 functional core every probe implementation delegates to; operation
 *accounting* stays in the callers, which know what the scalar/SIMT
 algorithm would have paid.
+
+The batch backends match through a :class:`KeyGroupIndex` of the build
+side.  The one-shot functions build one per call; a caller that probes
+the same build side many times (cbase-npj's probe segments, one served
+request's morsels) builds it once and probes it directly.
 """
 
 from __future__ import annotations
@@ -21,6 +26,108 @@ _U64_MASK = (1 << 64) - 1
 #: Materialize real output pairs only while the expansion stays this small;
 #: beyond it only the closed-form count/checksum is recorded.
 MATERIALIZE_LIMIT = 1 << 21
+
+_NO_MATCHES = np.empty(0, dtype=np.intp)
+
+
+class KeyGroupIndex:
+    """A build side sorted once by key, probed by binary search.
+
+    One stable sort groups the build tuples by key.  The index keeps the
+    unique keys, each group's span ``[bounds[g], bounds[g + 1])`` in the
+    key-sorted payloads, and each group's exact payload sum mod 2**64.
+    The sort is stable, so within a group payloads stay in insertion
+    order and :meth:`expand` emits pairs in the order every backend
+    does: by S tuple, then by R insertion order.  Probing costs one
+    ``searchsorted`` over S, never a re-sort of R, so one index can serve
+    any number of probe segments.
+    """
+
+    __slots__ = ("keys", "bounds", "payloads", "sums")
+
+    def __init__(self, r_keys: np.ndarray, r_payloads: np.ndarray):
+        order = np.argsort(r_keys, kind="stable")
+        sorted_keys = r_keys[order]
+        self.payloads = r_payloads[order]
+        first = np.ones(sorted_keys.size, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.flatnonzero(first)
+        self.keys = sorted_keys[starts]
+        self.bounds = np.append(starts, sorted_keys.size)
+        self.sums = np.add.reduceat(self.payloads.astype(np.uint64), starts)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Build tuples per key group."""
+        return np.diff(self.bounds)
+
+    def _lookup(self, s_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(positions of the matching S tuples, their key groups)."""
+        if self.keys.size == 0 or s_keys.size == 0:
+            return _NO_MATCHES, _NO_MATCHES
+        groups = np.searchsorted(self.keys, s_keys)
+        np.minimum(groups, self.keys.size - 1, out=groups)
+        hits = np.flatnonzero(self.keys[groups] == s_keys)
+        return hits, groups[hits]
+
+    def _stats(self, hits, groups, s_payloads) -> Tuple[int, int]:
+        # Per S tuple, r_sum[key] * s_payload: multiplication distributes
+        # over addition mod 2**64, so this equals the per-key products.
+        total = int((self.bounds[groups + 1] - self.bounds[groups]).sum())
+        checksum = int(np.sum(self.sums[groups]
+                              * s_payloads[hits].astype(np.uint64),
+                              dtype=np.uint64))
+        return total, checksum
+
+    def _expand(self, hits, groups, s_payloads
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        per_s = self.bounds[groups + 1] - self.bounds[groups]
+        ends = np.cumsum(per_s)
+        total = int(ends[-1]) if ends.size else 0
+        if total == 0:
+            return np.empty(0, np.uint32), np.empty(0, np.uint32)
+        # Output slot j of S tuple i reads sorted R slot
+        # bounds[group] + (j - first slot of i): one arange plus one
+        # repeated per-S offset, added in place.
+        r_idx = np.arange(total)
+        r_idx += np.repeat(self.bounds[groups] - (ends - per_s), per_s)
+        return self.payloads[r_idx], np.repeat(s_payloads[hits], per_s)
+
+    def stats(self, s_keys: np.ndarray,
+              s_payloads: np.ndarray) -> Tuple[int, int]:
+        """Exact (count, checksum) of the equi-join with S."""
+        return self._stats(*self._lookup(s_keys), s_payloads)
+
+    def expand(self, s_keys: np.ndarray,
+               s_payloads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """All matching (r_payload, s_payload) pairs, in backend order."""
+        return self._expand(*self._lookup(s_keys), s_payloads)
+
+    def emit(self, s_keys: np.ndarray, s_payloads: np.ndarray,
+             buffer: JoinOutputBuffer) -> OutputSummary:
+        """Join S and feed the output buffer, as :func:`emit_matches`."""
+        hits, groups = self._lookup(s_keys)
+        return _emit(self._stats(hits, groups, s_payloads),
+                     lambda: self._expand(hits, groups, s_payloads), buffer)
+
+
+def _emit(stats: Tuple[int, int], expand, buffer: JoinOutputBuffer
+          ) -> OutputSummary:
+    """Feed one join's output to ``buffer``: real pairs from ``expand()``
+    while the expansion is small, the closed-form summary beyond
+    :data:`MATERIALIZE_LIMIT` (overwrite-on-full semantics discard the
+    bulk anyway)."""
+    summary = OutputSummary()
+    total, checksum = stats
+    if total == 0:
+        return summary
+    if total <= MATERIALIZE_LIMIT:
+        buffer.write_pairs(*expand())
+    else:
+        buffer.count += total
+        buffer.checksum = (buffer.checksum + checksum) & _U64_MASK
+    summary.add_pairs_sum(total, checksum)
+    return summary
 
 
 def _group_tallies(
@@ -64,25 +171,7 @@ def _match_group_stats_vector(
     s_payloads: np.ndarray,
 ) -> Tuple[int, int]:
     """Group-wise batch tally of the equi-join count and checksum."""
-    if r_keys.size == 0 or s_keys.size == 0:
-        return 0, 0
-    r_uniq, r_inv = np.unique(r_keys, return_inverse=True)
-    s_uniq, s_inv = np.unique(s_keys, return_inverse=True)
-    shared, idx_r, idx_s = np.intersect1d(
-        r_uniq, s_uniq, assume_unique=True, return_indices=True
-    )
-    if shared.size == 0:
-        return 0, 0
-    r_counts = np.bincount(r_inv, minlength=r_uniq.size)
-    s_counts = np.bincount(s_inv, minlength=s_uniq.size)
-    total = int(np.sum(r_counts[idx_r].astype(object)
-                       * s_counts[idx_s].astype(object)))
-    r_sums = np.zeros(r_uniq.size, dtype=np.uint64)
-    s_sums = np.zeros(s_uniq.size, dtype=np.uint64)
-    np.add.at(r_sums, r_inv, r_payloads.astype(np.uint64))
-    np.add.at(s_sums, s_inv, s_payloads.astype(np.uint64))
-    checksum = int(np.sum(r_sums[idx_r] * s_sums[idx_s], dtype=np.uint64))
-    return total, checksum & _U64_MASK
+    return KeyGroupIndex(r_keys, r_payloads).stats(s_keys, s_payloads)
 
 
 def _s_morsels(n_s: int, pool) -> List[Tuple[int, int]]:
@@ -98,15 +187,13 @@ def _match_group_stats_parallel(
     s_keys: np.ndarray,
     s_payloads: np.ndarray,
 ) -> Tuple[int, int]:
-    """Morsel-parallel tally: R-side group index + per-S-morsel probes.
+    """Morsel-parallel tally: R's key-group index + per-S-morsel probes.
 
-    The driver builds the per-key (count, payload-sum) index of R once,
-    ships it through the arena, and sums per-morsel contributions.  The
-    per-tuple checksum ``r_sums[key] * s_payload`` equals the vector
-    backend's per-key ``r_sums * s_sums`` because multiplication
-    distributes over addition mod 2**64, and morsel merge order is
-    irrelevant for the same reason — so the result is bit-identical
-    regardless of worker count.
+    The driver builds the :class:`KeyGroupIndex` of R once, ships its
+    keys, counts and payload sums through the arena, and sums per-morsel
+    contributions.  Morsel merge order is irrelevant because addition
+    mod 2**64 commutes, so the result is bit-identical regardless of
+    worker count.
     """
     from repro.exec.parallel import SharedArena, morsel_pool
 
@@ -114,14 +201,11 @@ def _match_group_stats_parallel(
     if pool is None or r_keys.size == 0 or s_keys.size == 0:
         return _match_group_stats_vector(r_keys, r_payloads,
                                          s_keys, s_payloads)
-    r_uniq, r_inv = np.unique(r_keys, return_inverse=True)
-    r_counts = np.bincount(r_inv, minlength=r_uniq.size)
-    r_sums = np.zeros(r_uniq.size, dtype=np.uint64)
-    np.add.at(r_sums, r_inv, r_payloads.astype(np.uint64))
+    index = KeyGroupIndex(r_keys, r_payloads)
     with SharedArena(use_shm=pool.uses_processes) as arena:
-        task = dict(r_uniq=arena.share(r_uniq),
-                    r_counts=arena.share(r_counts),
-                    r_sums=arena.share(r_sums),
+        task = dict(r_uniq=arena.share(index.keys),
+                    r_counts=arena.share(index.counts),
+                    r_sums=arena.share(index.sums),
                     s_keys=arena.share(s_keys),
                     s_payloads=arena.share(s_payloads))
         results = pool.run("match_stats", [
@@ -155,20 +239,12 @@ def emit_matches(
 
     Real pairs are written to the ring while the expansion is small; beyond
     :data:`MATERIALIZE_LIMIT` the buffer receives the closed-form summary
-    only (overwrite-on-full semantics discard the bulk anyway).
+    only.
     """
-    summary = OutputSummary()
-    total, checksum = match_group_stats(r_keys, r_payloads, s_keys, s_payloads)
-    if total == 0:
-        return summary
-    if total <= MATERIALIZE_LIMIT:
-        pairs_r, pairs_s = expand_pairs(r_keys, r_payloads, s_keys, s_payloads)
-        buffer.write_pairs(pairs_r, pairs_s)
-    else:
-        buffer.count += total
-        buffer.checksum = (buffer.checksum + checksum) & _U64_MASK
-    summary.add_pairs_sum(total, checksum)
-    return summary
+    return _emit(
+        match_group_stats(r_keys, r_payloads, s_keys, s_payloads),
+        lambda: expand_pairs(r_keys, r_payloads, s_keys, s_payloads),
+        buffer)
 
 
 def expand_pairs(
@@ -217,27 +293,8 @@ def _expand_pairs_vector(
     s_keys: np.ndarray,
     s_payloads: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch pair expansion via sort + searchsorted + repeat."""
-    if r_keys.size == 0 or s_keys.size == 0:
-        return np.empty(0, np.uint32), np.empty(0, np.uint32)
-    r_order = np.argsort(r_keys, kind="stable")
-    rk = r_keys[r_order]
-    rp = r_payloads[r_order]
-    group_keys, group_start = np.unique(rk, return_index=True)
-    group_count = np.diff(np.append(group_start, rk.size))
-    pos = np.searchsorted(group_keys, s_keys)
-    pos = np.clip(pos, 0, max(group_keys.size - 1, 0))
-    hit = (group_keys[pos] == s_keys) if group_keys.size else np.zeros(
-        s_keys.size, bool)
-    cnt_per_s = np.where(hit, group_count[pos], 0)
-    total = int(cnt_per_s.sum())
-    if total == 0:
-        return np.empty(0, np.uint32), np.empty(0, np.uint32)
-    s_rep = np.repeat(np.arange(s_keys.size), cnt_per_s)
-    run_origin = np.repeat(np.cumsum(cnt_per_s) - cnt_per_s, cnt_per_s)
-    within = np.arange(total) - run_origin
-    r_idx = np.repeat(np.where(hit, group_start[pos], 0), cnt_per_s) + within
-    return rp[r_idx], s_payloads[s_rep]
+    """Batch pair expansion through a one-shot key-group index of R."""
+    return KeyGroupIndex(r_keys, r_payloads).expand(s_keys, s_payloads)
 
 
 def _expand_pairs_parallel(
@@ -260,17 +317,13 @@ def _expand_pairs_parallel(
     pool = morsel_pool(r_keys.size + s_keys.size)
     if pool is None or r_keys.size == 0 or s_keys.size == 0:
         return _expand_pairs_vector(r_keys, r_payloads, s_keys, s_payloads)
-    r_order = np.argsort(r_keys, kind="stable")
-    rk = r_keys[r_order]
-    rp = r_payloads[r_order]
-    group_keys, group_start = np.unique(rk, return_index=True)
-    group_count = np.diff(np.append(group_start, rk.size))
+    index = KeyGroupIndex(r_keys, r_payloads)
     morsels = _s_morsels(s_keys.size, pool)
     with SharedArena(use_shm=pool.uses_processes) as arena:
-        gk_ref = arena.share(group_keys)
-        gs_ref = arena.share(group_start)
-        gc_ref = arena.share(group_count)
-        rp_ref = arena.share(rp)
+        gk_ref = arena.share(index.keys)
+        gs_ref = arena.share(index.bounds[:-1])
+        gc_ref = arena.share(index.counts)
+        rp_ref = arena.share(index.payloads)
         sk_ref = arena.share(s_keys)
         sp_ref = arena.share(s_payloads)
         counts = pool.run("expand_count", [

@@ -87,40 +87,6 @@ def refine_chunk(
     return sub_sizes
 
 
-def chain_links(
-    buckets: ArrayRef, nxt: ArrayRef, a: int, b: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local head-insertion chain links for build entries [a, b).
-
-    Writes the within-segment ``next`` links into the shared ``nxt`` array
-    (disjoint slice per segment; entries with no in-segment predecessor
-    keep the driver's -1 fill) and returns, per bucket present in the
-    segment, (bucket id, first entry index, last entry index) in segment
-    order — the compact summary the driver stitches across segments.
-    """
-    empty = np.empty(0, dtype=np.int64)
-    if b <= a:
-        return empty, empty, empty
-    with attached(buckets, nxt) as (bk, nx):
-        seg = bk[a:b]
-        order = np.argsort(seg, kind="stable")
-        sorted_b = seg[order]
-        m = b - a
-        if m > 1:
-            same = sorted_b[1:] == sorted_b[:-1]
-            nx[a + order[1:][same]] = a + order[:-1][same]
-        is_last = np.empty(m, dtype=bool)
-        is_last[:-1] = sorted_b[:-1] != sorted_b[1:]
-        is_last[-1] = True
-        is_first = np.empty(m, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = is_last[:-1]
-        uniq = sorted_b[is_first].astype(np.int64)
-        first_idx = (a + order[is_first]).astype(np.int64)
-        last_idx = (a + order[is_last]).astype(np.int64)
-    return uniq, first_idx, last_idx
-
-
 def match_stats(
     r_uniq: ArrayRef, r_counts: ArrayRef, r_sums: ArrayRef,
     s_keys: ArrayRef, s_payloads: ArrayRef, a: int, b: int,
@@ -207,7 +173,6 @@ KERNELS: Dict[str, object] = {
     "partition_hist": partition_hist,
     "partition_scatter": partition_scatter,
     "refine_chunk": refine_chunk,
-    "chain_links": chain_links,
     "match_stats": match_stats,
     "expand_count": expand_count,
     "expand_write": expand_write,

@@ -138,9 +138,11 @@ def _reduce(fn: str, col: str, batch: Batch, n_groups: int,
         return np.bincount(inv, minlength=n_groups).astype(np.int64)
     values = batch.column(col).astype(np.int64)
     if fn == "sum":
-        out = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(out, inv, values)
-        return out
+        # Every group is non-empty (``inv`` comes from np.unique), so
+        # group g's values start at its first position in inv order.
+        order = np.argsort(inv, kind="stable")
+        starts = np.searchsorted(inv[order], np.arange(n_groups))
+        return np.add.reduceat(values[order], starts)
     if fn == "min":
         out = np.full(n_groups, np.iinfo(np.int64).max)
         np.minimum.at(out, inv, values)
@@ -172,8 +174,9 @@ def _merge(state_keys, state, new_keys, partial, aggs):
     for name, (fn, _col) in aggs.items():
         if fn in ("count", "sum"):
             out = np.zeros(merged_keys.size, dtype=np.int64)
+            # Both key sets are unique, so plain fancy-index adds are exact.
             out[pos_old] += state[name]
-            np.add.at(out, pos_new, partial[name])
+            out[pos_new] += partial[name]
         elif fn == "min":
             out = np.full(merged_keys.size, np.iinfo(np.int64).max)
             np.minimum.at(out, pos_old, state[name])

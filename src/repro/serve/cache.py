@@ -12,9 +12,9 @@ on the same cold key share exactly one build via a per-key in-flight
 future (single-flight).
 
 Version discipline: re-registering a relation id bumps its version, so
-stale cached builds are never *served* for a new version — they linger
-only until LRU pressure or an explicit :meth:`invalidate` drops them,
-and remain addressable by explicit version for in-flight clients.
+stale cached builds are never *served* for a new version; the engine
+drops the stale version's build with :meth:`invalidate` as it
+registers the new one.
 
 The cache also carries a per-key **circuit breaker**: after
 ``circuit_threshold`` *consecutive* cold-build failures the circuit

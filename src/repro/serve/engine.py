@@ -43,10 +43,11 @@ from repro.errors import (
     RequestCancelled,
     ServeError,
 )
-from repro.exec.backend import current_backend, use_backend
+from repro.exec.backend import current_backend, is_vector, use_backend
 from repro.exec.cancel import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.exec.cost_model import CPUCostModel, DEFAULT_CPU_COST_MODEL
 from repro.exec.counters import OpCounters
+from repro.exec.matching import KeyGroupIndex
 from repro.exec.output import DEFAULT_CAPACITY, JoinOutputBuffer, OutputSummary
 from repro.exec.result import JoinResult
 from repro.faults.plan import SLOW, FaultPlan
@@ -151,7 +152,8 @@ class ServeEngine:
         #: the backend per request and learns from every answer.  None
         #: keeps the ambient backend (planner off), the default.
         self.planner = planner
-        self._relations: Dict[str, Dict[int, Relation]] = {}
+        #: Latest version's data per relation id (older versions are gone).
+        self._relations: Dict[str, Relation] = {}
         self._latest: Dict[str, int] = {}
         self._trace_seq = itertools.count(1)
         self.requests = 0
@@ -169,16 +171,15 @@ class ServeEngine:
     def register(self, relation_id: str, relation: Relation) -> int:
         """Install (or bump) a build-side relation; returns its version.
 
-        Re-registering an id bumps the version: probes without an
-        explicit version immediately see the new data, and the stale
-        version's cached build is invalidated so it can only be reached
-        by clients still pinning the old version explicitly — which no
-        longer resolves once the relation data is replaced below.
+        Re-registering an id bumps the version and replaces the data:
+        only the latest version is kept, and the stale version's cached
+        build is invalidated, so a probe pinning the old version gets a
+        typed :class:`ServeError` naming the latest one.
         """
         if not relation_id:
             raise ServeError("relation_id must be non-empty")
         version = self._latest.get(relation_id, 0) + 1
-        self._relations.setdefault(relation_id, {})[version] = relation
+        self._relations[relation_id] = relation
         self._latest[relation_id] = version
         if version > 1:
             self.cache.invalidate(relation_id, version - 1)
@@ -187,24 +188,21 @@ class ServeEngine:
     def resolve(self, relation_id: str,
                 version: Optional[int] = None) -> Tuple[int, Relation]:
         """The (version, relation) a probe addresses; typed error if gone."""
-        versions = self._relations.get(relation_id)
-        if not versions:
+        relation = self._relations.get(relation_id)
+        if relation is None:
             raise ServeError(
                 f"unknown relation {relation_id!r}; register it first",
                 relation_id=relation_id)
-        if version is None:
-            version = self._latest[relation_id]
-        relation = versions.get(version)
-        if relation is None:
+        latest = self._latest[relation_id]
+        if version is not None and version != latest:
             raise ServeError(
                 f"relation {relation_id!r} has no version {version} "
-                f"(latest is {self._latest[relation_id]})",
-                relation_id=relation_id, version=version,
-                latest=self._latest[relation_id])
-        return version, relation
+                f"(latest is {latest})",
+                relation_id=relation_id, version=version, latest=latest)
+        return latest, relation
 
     def invalidate(self, relation_id: str) -> int:
-        """Drop a relation (all versions) and its cached builds."""
+        """Drop a relation and its cached builds."""
         self._relations.pop(relation_id, None)
         self._latest.pop(relation_id, None)
         return self.cache.invalidate(relation_id)
@@ -440,6 +438,10 @@ class ServeEngine:
         morsel_counters: List[OpCounters] = []
         morsel_extras: List[float] = []
         n = len(probe_rel)
+        # One key-group index of the build side per request, built by the
+        # first morsel's task and shared by the rest.  It is not cached
+        # with the table: see docs/serving.md.
+        key_index: Optional[KeyGroupIndex] = None
         try:
             for index in range(n_morsels):
                 a = index * morsel_tuples
@@ -463,10 +465,14 @@ class ServeEngine:
                 checkpoint(morsel=index, n_morsels=n_morsels)
 
                 def run(counters: OpCounters, attempt: int, a=a, b=b):
+                    nonlocal key_index
+                    if key_index is None and is_vector():
+                        key_index = KeyGroupIndex(table.keys, table.payloads)
                     buf = JoinOutputBuffer(self.output_capacity)
                     return table.probe(
                         probe_rel.keys[a:b], probe_rel.payloads[a:b], buf,
-                        counters=counters, random_access=True)
+                        counters=counters, random_access=True,
+                        index=key_index)
 
                 outcome = run_task_with_recovery(
                     run, scope, points=("task",), morsel=index)

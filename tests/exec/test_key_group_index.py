@@ -1,0 +1,138 @@
+"""KeyGroupIndex: equivalence with the literal per-tuple matchers, the
+chained table's lazily derived links, and one index per cbase-npj join."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.api import make_join
+from repro.cpu.chained_table import ChainedHashTable
+from repro.data.zipf import ZipfWorkload
+from repro.exec.backend import use_backend
+from repro.exec.matching import (
+    MATERIALIZE_LIMIT,
+    KeyGroupIndex,
+    _expand_pairs_scalar,
+    _match_group_stats_scalar,
+)
+from repro.exec.output import JoinOutputBuffer
+
+MAX_KEY = (1 << 32) - 1
+
+#: A small key pool so groups repeat, with both ends of the uint32 range.
+keys = st.sampled_from([0, 1, 2, 7, 1 << 31, MAX_KEY])
+u32 = st.integers(0, MAX_KEY)
+side = st.lists(st.tuples(keys, u32), max_size=40)
+
+
+def cols(pairs, payload_dtype=np.uint32):
+    return (np.array([k for k, _ in pairs], dtype=np.uint32),
+            np.array([p for _, p in pairs], dtype=payload_dtype))
+
+
+@given(side, side)
+@settings(max_examples=150, deadline=None)
+@example([], [(1, 5)])
+@example([(1, 5)], [])
+@example([(MAX_KEY, MAX_KEY)] * 3, [(MAX_KEY, MAX_KEY)] * 4)
+def test_index_matches_the_scalar_matchers(r_pairs, s_pairs):
+    rk, rp = cols(r_pairs)
+    sk, sp = cols(s_pairs)
+    index = KeyGroupIndex(rk, rp)
+    assert index.stats(sk, sp) == _match_group_stats_scalar(rk, rp, sk, sp)
+    want_r, want_s = _expand_pairs_scalar(rk, rp, sk, sp)
+    got_r, got_s = index.expand(sk, sp)
+    # Same pairs in the same order: by S tuple, then R insertion order.
+    assert got_r.tolist() == want_r.tolist()
+    assert got_s.tolist() == want_s.tolist()
+
+    got_buf, want_buf = JoinOutputBuffer(64), JoinOutputBuffer(64)
+    summary = index.emit(sk, sp, got_buf)
+    want_buf.write_pairs(want_r, want_s)
+    assert (summary.count, summary.checksum) == (want_buf.count,
+                                                 want_buf.checksum)
+    assert (got_buf.count, got_buf.checksum) == (want_buf.count,
+                                                 want_buf.checksum)
+    assert np.array_equal(got_buf.snapshot(), want_buf.snapshot())
+
+
+@given(st.lists(st.tuples(keys, st.integers(1 << 63, (1 << 64) - 1)),
+                max_size=30),
+       side)
+@settings(max_examples=80, deadline=None)
+def test_payload_sums_wrap_exactly_past_2_64(r_pairs, s_pairs):
+    # uint64 payloads this large overflow a group's sum on the second
+    # tuple; the index must agree with the Python-int tally mod 2**64.
+    rk, rp = cols(r_pairs, np.uint64)
+    sk, sp = cols(s_pairs)
+    got = KeyGroupIndex(rk, rp).stats(sk, sp)
+    assert got == _match_group_stats_scalar(rk, rp, sk, sp)
+
+
+def test_duplicates_only_sides_form_one_group():
+    rk = np.full(5, 3, dtype=np.uint32)
+    rp = np.arange(5, dtype=np.uint32)
+    index = KeyGroupIndex(rk, rp)
+    assert index.keys.tolist() == [3]
+    assert index.bounds.tolist() == [0, 5]
+    assert index.counts.tolist() == [5]
+    assert index.sums.tolist() == [10]
+    r_out, s_out = index.expand(np.array([3, 4, 3], np.uint32),
+                                np.array([7, 8, 9], np.uint32))
+    assert r_out.tolist() == [0, 1, 2, 3, 4] * 2
+    assert s_out.tolist() == [7] * 5 + [9] * 5
+
+
+def test_totals_above_the_materialize_limit_emit_the_summary_only():
+    n = 1 << 11  # n * n pairs > MATERIALIZE_LIMIT
+    assert n * n > MATERIALIZE_LIMIT
+    rk = np.full(n, MAX_KEY, dtype=np.uint32)
+    rp = np.arange(n, dtype=np.uint32)
+    sk = np.full(n, MAX_KEY, dtype=np.uint32)
+    sp = np.full(n, MAX_KEY, dtype=np.uint32)
+    buf = JoinOutputBuffer(16)
+    summary = KeyGroupIndex(rk, rp).emit(sk, sp, buf)
+    want = _match_group_stats_scalar(rk, rp, sk, sp)
+    assert (summary.count, summary.checksum) == want
+    assert (buf.count, buf.checksum) == want
+    assert not buf.snapshot().any()  # no pair was written to the ring
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), u32), max_size=80),
+       st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_lazy_links_equal_the_scalar_build(pairs, bucket_bits):
+    rk, rp = cols(pairs)
+    with use_backend("scalar"):
+        scalar = ChainedHashTable(1 << bucket_bits)
+        scalar.build(rk, rp)
+    with use_backend("vector"):
+        vector = ChainedHashTable(1 << bucket_bits)
+        vector.build(rk, rp)
+    assert vector._heads is None and vector._next is None
+    assert np.array_equal(vector.heads, scalar.heads)
+    assert np.array_equal(vector.next, scalar.next)
+    assert np.array_equal(vector._chain_lengths, scalar._chain_lengths)
+
+
+@pytest.mark.parametrize("backend", ["vector", "parallel"])
+def test_cbase_npj_builds_one_index_per_join(monkeypatch, backend):
+    join_input = ZipfWorkload(4096, 8192, 1.0, seed=3).generate()
+    built = []
+    init = KeyGroupIndex.__init__
+
+    def counting_init(self, *args):
+        built.append(len(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(KeyGroupIndex, "__init__", counting_init)
+    with use_backend(backend):
+        result = make_join("cbase-npj").run(join_input)
+    assert built == [4096]
+    monkeypatch.undo()
+    with use_backend("scalar"):
+        reference = make_join("cbase-npj").run(join_input)
+    assert (result.output_count, result.output_checksum,
+            result.simulated_seconds) == (reference.output_count,
+                                          reference.output_checksum,
+                                          reference.simulated_seconds)

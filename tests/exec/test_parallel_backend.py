@@ -164,7 +164,7 @@ def test_worker_failure_raises_typed_execution_error():
 
 def test_run_kernel_dispatches_registry():
     assert set(KERNELS) >= {"partition_hist", "partition_scatter",
-                            "refine_chunk", "chain_links", "match_stats",
+                            "refine_chunk", "match_stats",
                             "expand_count", "expand_write"}
     assert isinstance(run_kernel("worker_identity", {}), int)
 

@@ -1,12 +1,15 @@
 """Engine semantics: cold/warm identity, admission, faults, versions."""
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
 from repro.api import make_join
 from repro.data.zipf import ZipfWorkload
 from repro.errors import AdmissionError, ServeError, UnrecoveredFaultError
+from repro.exec.matching import KeyGroupIndex
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.report import verify_result_faults
 from repro.obs import verify_result_trace
@@ -86,6 +89,22 @@ def test_morsel_budget_controls_chunk_count(engine, workload):
         outcome.result.output_count
 
 
+def test_all_morsels_of_a_probe_share_one_key_index(engine, workload,
+                                                    monkeypatch):
+    built = []
+    init = KeyGroupIndex.__init__
+
+    def counting_init(self, *args):
+        built.append(len(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(KeyGroupIndex, "__init__", counting_init)
+    for _ in range(2):  # cold, then warm: one index per request either way
+        outcome = probe(engine, workload, morsel_tuples=256)
+        assert len(outcome.chunks) == N // 256
+    assert built == [N, N]
+
+
 def test_chunking_never_changes_the_answer(engine, workload):
     whole = probe(engine, workload)
     chunked = probe(engine, workload, morsel_tuples=64)
@@ -140,6 +159,27 @@ def test_unknown_relation_and_version_raise_typed_errors(engine, workload):
     with pytest.raises(ServeError) as err:
         probe(engine, workload, version=9)
     assert err.value.context["latest"] == 1
+
+
+def test_reregistering_releases_the_stale_version(workload):
+    """Only the latest version's data is kept: a writer bumping versions
+    must not grow the engine, and a probe pinning the old version gets
+    the typed error naming the latest."""
+    engine = ServeEngine()
+    stale = ZipfWorkload(N, N, 0.0, seed=5).generate().r
+    engine.register("orders", stale)
+    probe(engine, workload, version=1)
+    stale_ref = weakref.ref(stale)
+    del stale
+    engine.register("orders", workload.r)
+    gc.collect()
+    assert stale_ref() is None
+    assert engine.resolve("orders") == (2, workload.r)
+    with pytest.raises(ServeError) as err:
+        probe(engine, workload, version=1)
+    assert err.value.context["version"] == 1
+    assert err.value.context["latest"] == 2
+    assert probe(engine, workload, version=2).result.meta["version"] == 2
 
 
 def test_admission_refuses_over_budget_probes(workload):

@@ -23,7 +23,8 @@ trace-smoke:
 
 # Seeded fault sweep: every fault class into every algorithm (the CI gate).
 chaos-smoke:
-	$(PYTHON) -m repro chaos --seed 42 --tuples 8192 --theta 1.0
+	$(PYTHON) -m repro chaos --seed 42 --tuples 8192 --theta 1.0 \
+		--artifact-dir chaos-artifacts
 
 # End-to-end serving scenario over a real socket (the CI gate).
 serve-smoke:
@@ -34,7 +35,7 @@ serve-smoke:
 # breaking, mid-stream disconnects, post-storm health (the CI gate).
 serve-chaos:
 	$(PYTHON) -m repro chaos --serve --seed 7 \
-		--health-out serve-artifacts/health.json
+		--artifact-dir serve-artifacts
 
 # Served-vs-direct differential across the algorithm x dataset grid.
 diff-served:

@@ -33,8 +33,13 @@ Commands:
   seeded disk faults (torn writes, ENOSPC, corrupt chunks, slow IO),
   ladder exhaustion, and a SIGKILL-and-resume sweep, asserting every
   scenario ends bit-identical after recovery/resume or with a typed
-  error — the spill-chaos CI job.  All chaos modes exit nonzero when
-  any scenario breaks its contract.
+  error — the spill-chaos CI job.  Every mode runs through one runner
+  (:func:`repro.faults.chaos.run_checks`), which exits 1 when any check
+  fails.  ``--artifact-dir DIR`` writes the check ledger to
+  ``DIR/chaos-checks.json`` in every mode.  A request the sweep cannot
+  honour exits 2 up front: fewer tuples than the pipeline (8192) or
+  spill (4096) schedule needs, or a non-spilling algorithm with
+  ``--spill``.
 * ``serve``  — join-as-a-service daemon: NDJSON protocol over a local
   socket, hot LRU cache of built hash tables, admission control,
   streamed probe chunks, per-request deadlines, a circuit-breaking
@@ -65,7 +70,8 @@ Examples::
     python -m repro trace --all --out traces.jsonl --check
     python -m repro trace --load traces.jsonl --check
     python -m repro chaos --seed 42 --tuples 8192 --theta 1.0
-    python -m repro chaos --serve --seed 7 --clients 4 --requests 20
+    python -m repro chaos --serve --seed 7 --clients 4 --requests 20 \
+        --artifact-dir chaos-art
     python -m repro run --tuples 262144 --memory-budget 1048576 \
         --spill-dir /tmp/spill --algorithm cbase
     python -m repro run --resume /tmp/spill
@@ -103,7 +109,7 @@ from repro.bench.tables import render_series
 from repro.data.io import load_join_input, save_join_input
 from repro.data.stream import stream_zipf_input
 from repro.data.zipf import ZipfWorkload
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.exec.backend import (
     BACKENDS,
     BACKEND_ENV,
@@ -119,8 +125,8 @@ from repro.exec.differential import (
 )
 from repro.exec.report import comparison_report, result_report
 from repro.exec.serialize import append_results_jsonl, results_from_jsonl_file
-from repro.faults.chaos import run_chaos
-from repro.faults.plan import DEFAULT_CHAOS_ALGORITHMS
+from repro.faults.chaos import pipeline_source, run_checks
+from repro.faults.plan import DEFAULT_CHAOS_ALGORITHMS, SPILL_ALGORITHM_NAMES
 from repro.faults.report import verify_result_faults
 from repro.obs import render_trace, verify_result_trace
 from repro.plan import verify_result_plan
@@ -130,7 +136,7 @@ from repro.serve.cache import (
     DEFAULT_CIRCUIT_RESET_SECONDS,
     DEFAULT_CIRCUIT_THRESHOLD,
 )
-from repro.serve.chaos import run_serve_chaos
+from repro.serve.chaos import serve_source
 from repro.serve.diff import served_differential
 from repro.serve.engine import ServeEngine
 from repro.serve.protocol import PROTOCOL_VERSION
@@ -147,7 +153,7 @@ from repro.store import (
     resume_run,
     write_run_state,
 )
-from repro.store.chaos import run_spill_chaos
+from repro.store.chaos import spill_source
 
 BENCH_COMMANDS = {
     "fig1": run_figure1,
@@ -301,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed for both the workload and the fault "
                               "plan (default 42)")
     chaos_p.add_argument("--algorithms", type=str,
-                         default=",".join(DEFAULT_CHAOS_ALGORITHMS),
                          help="comma-separated algorithms to sweep "
-                              "(default: cbase,csh,gbase,gsh)")
+                              "(default: "
+                              f"{','.join(DEFAULT_CHAOS_ALGORITHMS)}; with "
+                              f"--spill: {','.join(SPILL_ALGORITHM_NAMES)})")
     chaos_p.add_argument("--serve", action="store_true",
                          help="run the chaos-under-load storm against an "
                               "in-process daemon instead of the pipelines "
@@ -314,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--requests", type=int, default=20,
                          help="probe requests spread across the --serve "
                               "clients (default 20)")
-    chaos_p.add_argument("--health-out", metavar="FILE",
-                         help="with --serve: write the post-storm health "
-                              "payload and check ledger to a JSON artifact")
     chaos_p.add_argument("--spill", action="store_true",
                          help="run the disk-fault + SIGKILL/resume sweep "
                               "against the out-of-core spill plane "
@@ -324,9 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "bit-identical after recovery/resume or "
                               "with a typed error)")
     chaos_p.add_argument("--artifact-dir", metavar="DIR",
-                         help="with --spill: copy each sweep's manifest, "
-                              "checkpoint ledger, and the check ledger "
-                              "JSON into DIR (the CI artifact)")
+                         help="write the check ledger (plus the post-storm "
+                              "health with --serve) to DIR/chaos-checks."
+                              "json; with --spill also copy each kill "
+                              "point's manifest and checkpoint ledger "
+                              "into DIR (the CI artifact)")
 
     serve_p = sub.add_parser(
         "serve", help="run the join-as-a-service daemon")
@@ -788,25 +794,25 @@ def _cmd_chaos(args) -> int:
         print("error: --serve and --spill are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.spill:
-        return run_spill_chaos(n=args.tuples, theta=args.theta,
-                               seed=args.seed,
-                               artifact_dir=args.artifact_dir)
-    if args.serve:
-        return run_serve_chaos(n=args.tuples, theta=args.theta,
-                               seed=args.seed, clients=args.clients,
-                               requests=args.requests,
-                               health_out=args.health_out)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    join_input = ZipfWorkload(args.tuples, args.tuples, args.theta,
-                              seed=args.seed).generate()
-    outcome = run_chaos(join_input, seed=args.seed, algorithms=algorithms)
-    print(outcome.render())
-    if not outcome.ok:
-        print(f"\nCHAOS SWEEP FAILED: {outcome.n_failed} case(s) did not "
-              "recover exactly or fail with a typed report")
-        return 1
-    return 0
+    algorithms = [a.strip() for a in (args.algorithms or "").split(",")
+                  if a.strip()]
+    try:
+        if args.spill:
+            title, source = "spill chaos", spill_source(
+                args.tuples, args.theta, args.seed,
+                algorithms or SPILL_ALGORITHM_NAMES, args.artifact_dir)
+        elif args.serve:
+            title, source = "serve chaos", serve_source(
+                args.tuples, args.theta, args.seed, args.clients,
+                args.requests)
+        else:
+            title, source = "chaos sweep", pipeline_source(
+                args.tuples, args.theta, args.seed,
+                algorithms or DEFAULT_CHAOS_ALGORITHMS)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return run_checks(title, source, args.artifact_dir)
 
 
 def _cmd_serve(args) -> int:

@@ -62,6 +62,10 @@ DEFAULT_MIN_PARALLEL_TUPLES = 16384
 #: Seconds between liveness checks while draining results.
 _RESULT_POLL_SECONDS = 1.0
 
+#: Seconds an idle worker waits for a morsel before checking that its
+#: driver is still alive.
+_ORPHAN_POLL_SECONDS = 0.5
+
 
 def worker_count() -> int:
     """The configured pool size: ``REPRO_WORKERS``, else the core count."""
@@ -123,17 +127,29 @@ def min_parallel_tuples() -> int:
     return n
 
 
-def _worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
+def _worker_main(tasks, results,
+                 driver: int) -> None:  # pragma: no cover - subprocess
     """Worker loop: pull morsels until the None sentinel arrives.
 
     A kernel failure is reported as a *sentinel result* — ``(generation,
     task_id, False, message)`` — so the driver distinguishes "the kernel
     raised" (worker still alive, typed error) from "the worker died"
     (no result at all, detected by the liveness poll).
+
+    A ``driver`` (pid) that dies without sending sentinels (SIGKILL, OOM
+    kill) leaves the worker reparented: it notices within one poll and
+    exits, rather than blocking forever and holding the driver's pipes
+    open.
     """
     from repro.exec.parallel.kernels import run_kernel
     while True:
-        item = tasks.get()
+        try:
+            item = tasks.get(timeout=_ORPHAN_POLL_SECONDS)
+        except queue_mod.Empty:
+            if os.getppid() != driver:
+                results.cancel_join_thread()  # nobody will read them
+                return
+            continue
         if item is None:
             return
         generation, kernel, task_id, kwargs = item
@@ -184,7 +200,8 @@ class WorkerPool:
 
     def _spawn_worker(self):
         proc = self._ctx.Process(target=_worker_main,
-                                 args=(self._tasks, self._results),
+                                 args=(self._tasks, self._results,
+                                       os.getpid()),
                                  daemon=True)
         proc.start()
         return proc

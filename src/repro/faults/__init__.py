@@ -13,9 +13,12 @@ The fault plane has four layers:
 * :mod:`repro.faults.recovery` — the shared retry engine used by every
   task-shaped recovery site.
 
-:mod:`repro.faults.chaos` (imported lazily by the CLI to avoid an import
-cycle with the algorithm registry) sweeps a seeded plan over the pipelines
-and verifies output correctness under every fault.
+:mod:`repro.faults.chaos` is the one chaos runner behind ``repro chaos``
+and ``repro serve --smoke``: one check ledger, one recovered-or-typed
+contract, one ``chaos-checks.json`` artifact.  Its pipeline source sweeps
+a seeded plan over the pipelines; the serve and spill sources live in
+:mod:`repro.serve.chaos` and :mod:`repro.store.chaos`.  This package does
+not import it, which avoids an import cycle with the algorithm registry.
 """
 
 from repro.faults.plan import (

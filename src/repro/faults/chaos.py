@@ -1,34 +1,55 @@
-"""The chaos harness behind ``repro chaos``.
+"""The one chaos runner behind ``repro chaos`` and ``repro serve --smoke``.
 
-Sweeps a seeded :class:`~repro.faults.plan.FaultPlan` over the four join
-pipelines: every spec runs in isolation (one fault per run, so a failure
-is attributable), and each run must end in one of exactly two states —
+Every harness is a *scenario source*: a :class:`Source` names its mode
+and workload and records into one :class:`Checks` ledger.
+:func:`run_checks` runs a source, turns any exception that escapes it
+into a failed check, prints the ledger, writes one ``chaos-checks.json``
+artifact and returns the process exit code.  The sources are:
 
-* **recovered**: the run completes and its output is identical to the
-  fault-free baseline (count + order-independent checksum), with the fault
-  recorded on ``JoinResult.faults`` and mirrored into the trace metrics
-  (checked by :func:`~repro.faults.report.verify_result_faults`) and the
-  trace still summing to the reported total; or
-* **typed failure**: the run raises a :class:`~repro.errors.ReproError`
-  subclass carrying the episode's :class:`FailureReport` — never a bare
-  traceback.
+* ``pipeline`` (:func:`pipeline_source`, here) — a seeded
+  :class:`~repro.faults.plan.FaultPlan` swept over the four join
+  pipelines, one fault per run so a failure is attributable;
+* ``serve`` (:mod:`repro.serve.chaos`) — a concurrent fault storm
+  against the daemon, and ``smoke`` (:mod:`repro.serve.smoke`) — the
+  serving contract end to end;
+* ``spill`` (:mod:`repro.store.chaos`) — disk faults and SIGKILL/resume
+  on the out-of-core spill plane.
 
-Artifact-corruption specs exercise the serialization plane instead: a torn
-JSONL append (simulated crash mid-write) must be detected by the tolerant
-loader, repaired by an atomic rewrite, and recorded as a post-hoc report.
+Every faulted run must end in one of exactly two states, each checked
+by one function here:
+
+* :func:`expect_identical` — the run completes with an answer identical
+  to the fault-free baseline (count + order-independent checksum), an
+  injected fault recorded on ``JoinResult.faults`` when one was planted,
+  the reports mirrored into the trace metrics (checked by
+  :func:`~repro.faults.report.verify_result_faults`) and the trace still
+  summing to the reported total; or
+* :func:`expect_typed` — the run raises a
+  :class:`~repro.errors.ReproError` subclass carrying the episode's
+  :class:`FailureReport`, never a bare traceback.
+
+Artifact-corruption specs exercise the serialization plane instead: a
+torn JSONL append (simulated crash mid-write) must fail typed, be
+skipped by the tolerant loader, and be repaired by an atomic rewrite
+recorded as a post-hoc report.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
+import traceback
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.relation import JoinInput
-from repro.errors import ArtifactCorruptionError, ReproError
+from repro.data.zipf import ZipfWorkload
+from repro.errors import ConfigError, ReproError
+from repro.exec.backend import current_backend
 from repro.exec.result import JoinResult
 from repro.faults.plan import (
     ARTIFACT_CORRUPTION,
@@ -37,7 +58,6 @@ from repro.faults.plan import (
     FaultSpec,
     seeded_plan,
 )
-from repro.faults.policy import RecoveryPolicy, activate_policy, current_policy
 from repro.faults.report import (
     FailureReport,
     attach_posthoc_report,
@@ -46,118 +66,158 @@ from repro.faults.report import (
 from repro.faults.scope import activate_plan, fault_scope
 from repro.obs.trace import verify_result_trace
 
+#: File every chaos mode writes into its ``--artifact-dir``.
+CHECKS_ARTIFACT = "chaos-checks.json"
 
-@dataclass
-class ChaosCase:
-    """Outcome of one injected fault against one algorithm."""
-
-    algorithm: str
-    spec: FaultSpec
-    ok: bool
-    #: "recovered", "degraded", "fallback", "typed-error", or "repaired"
-    #: (artifact specs); failures carry the reason in ``detail``.
-    outcome: str
-    detail: str = ""
-    reports: List[FailureReport] = field(default_factory=list)
-
-    def summary_line(self) -> str:
-        status = "ok " if self.ok else "FAIL"
-        line = (f"[{status}] {self.spec.label():<42} -> {self.outcome}")
-        if self.detail:
-            line += f"  ({self.detail})"
-        return line
+#: Smallest ``--tuples`` the pipeline sweep accepts.  The seeded plans'
+#: occurrence windows assume every algorithm reaches >= 2 partition
+#: pairs; at 4096 tuples Gbase fits one partition and task occurrence 2
+#: never fires.
+PIPELINE_MIN_TUPLES = 8192
 
 
-@dataclass
-class ChaosOutcome:
-    """Everything one chaos sweep observed."""
+class Checks:
+    """Ordered pass/fail ledger a scenario source records into."""
 
-    seed: int
-    plan: FaultPlan
-    baselines: Dict[str, JoinResult]
-    cases: List[ChaosCase] = field(default_factory=list)
+    def __init__(self):
+        self.checks: List[Tuple[str, bool, str]] = []
+
+    def record(self, name: str, ok: bool, detail: str = "") -> bool:
+        self.checks.append((name, bool(ok), detail))
+        return bool(ok)
+
+    def equal(self, name: str, got, want) -> bool:
+        return self.record(name, got == want, f"got {got!r}, want {want!r}")
 
     @property
     def ok(self) -> bool:
-        return all(case.ok for case in self.cases)
+        return all(ok for _, ok, _ in self.checks)
 
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for case in self.cases if not case.ok)
-
-    def render(self) -> str:
-        lines = [f"chaos sweep: seed={self.seed} "
-                 f"specs={len(self.plan)} algorithms="
-                 f"{sorted(self.baselines)}"]
-        for case in self.cases:
-            lines.append("  " + case.summary_line())
-        injected = sum(
-            sum(1 for r in case.reports if r.injected)
-            for case in self.cases)
-        recovered = sum(
-            sum(1 for r in case.reports if r.recovered)
-            for case in self.cases)
-        lines.append(
-            f"{len(self.cases) - self.n_failed}/{len(self.cases)} cases ok; "
-            f"{injected} injected fault(s), {recovered} recovered episode(s)")
+    def render(self, title: str) -> str:
+        lines = []
+        for name, ok, detail in self.checks:
+            status = "ok  " if ok else "FAIL"
+            suffix = f"  ({detail})" if detail and not ok else ""
+            lines.append(f"  {status}  {name}{suffix}")
+        n_bad = sum(1 for _, ok, _ in self.checks if not ok)
+        lines.append("")
+        if n_bad:
+            lines.append(f"{title}: {n_bad}/{len(self.checks)} "
+                         "check(s) FAILED")
+        else:
+            lines.append(f"{title}: all {len(self.checks)} checks passed")
         return "\n".join(lines)
 
 
-def _result_checks(result: JoinResult, baseline: JoinResult) -> Optional[str]:
-    """All invariants a completed faulted run must satisfy."""
-    if not result.matches(baseline):
-        return (f"output diverged: count {result.output_count} vs "
-                f"{baseline.output_count}, checksum "
-                f"{result.output_checksum:#x} vs "
-                f"{baseline.output_checksum:#x}")
-    if not any(r.injected for r in result.faults):
-        return "run completed but no injected fault was recorded"
-    error = verify_result_faults(result)
-    if error is not None:
-        return error
-    return verify_result_trace(result)
+@dataclass(frozen=True)
+class Source:
+    """One scenario source: its mode, its workload, and the scenario.
+
+    ``scenario`` records into the ledger it is handed and returns the
+    source's extra artifact payload (or None).
+    """
+
+    mode: str
+    seed: int
+    tuples: int
+    scenario: Callable[[Checks], Optional[Dict]]
 
 
-def _classify(result: JoinResult) -> str:
-    if result.meta.get("fallback"):
-        return f"fallback:{result.meta['fallback']}"
-    if result.meta.get("degraded"):
-        return f"degraded:{result.meta['degraded']}"
-    return "recovered"
+def run_checks(title: str, source: Source,
+               artifact_dir: Optional[Union[str, Path]] = None) -> int:
+    """Run one source into a fresh ledger; returns the exit code (0 = green).
+
+    With ``artifact_dir`` the ledger lands in ``CHECKS_ARTIFACT`` there —
+    also when the scenario raised, which is when CI needs it most.
+    """
+    backend = current_backend()
+    print(f"{title}: mode={source.mode} backend={backend} "
+          f"seed={source.seed} tuples={source.tuples}", flush=True)
+    checks = Checks()
+    extra: Dict = {}
+    try:
+        extra = source.scenario(checks) or {}
+    except Exception as exc:  # noqa: BLE001 - chaos must report, not crash
+        traceback.print_exc()
+        checks.record("scenario ran to completion", False,
+                      f"{type(exc).__name__}: {exc}")
+    else:
+        checks.record("scenario ran to completion", True)
+    print(checks.render(title))
+    if artifact_dir is not None:
+        path = Path(artifact_dir) / CHECKS_ARTIFACT
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = dict(
+            extra, mode=source.mode, backend=backend, seed=source.seed,
+            tuples=source.tuples, ok=checks.ok,
+            checks=[{"name": name, "ok": ok, "detail": detail}
+                    for name, ok, detail in checks.checks])
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                        + "\n", encoding="utf-8")
+        print(f"\n{title}: checks written to {path}")
+    return 0 if checks.ok else 1
 
 
-def run_spec(algorithm: str, spec: FaultSpec, join_input: JoinInput,
-             baseline: JoinResult,
-             policy: Optional[RecoveryPolicy] = None) -> ChaosCase:
+def expect_identical(checks: Checks, name: str, baseline: JoinResult,
+                     result: JoinResult, injected: bool = False) -> None:
+    """The recovered-run contract: a bit-identical answer, an injected
+    report when a fault was planted, and balanced trace and fault books."""
+    checks.record(f"{name}: bit-identical", baseline.matches(result),
+                  f"got ({result.output_count}, "
+                  f"{result.output_checksum:#x}), want "
+                  f"({baseline.output_count}, "
+                  f"{baseline.output_checksum:#x})")
+    if injected:
+        n_injected = sum(1 for r in result.faults if r.injected)
+        checks.record(f"{name}: injected report present", n_injected >= 1,
+                      f"{n_injected} injected report(s)")
+    trace_issue = verify_result_trace(result)
+    checks.record(f"{name}: trace balanced", trace_issue is None,
+                  str(trace_issue))
+    fault_issue = verify_result_faults(result)
+    checks.record(f"{name}: fault counters consistent", fault_issue is None,
+                  str(fault_issue))
+
+
+def expect_typed(checks: Checks, name: str, run: Callable[[], object]) -> None:
+    """The typed-failure contract: ``run()`` must raise a ReproError that
+    carries its FailureReport — not succeed, not raise anything else."""
+    try:
+        run()
+    except ReproError as exc:
+        checks.record(f"{name}: typed {type(exc).__name__}", True)
+        checks.record(f"{name}: error carries report",
+                      getattr(exc, "report", None) is not None)
+        return
+    except Exception as exc:  # noqa: BLE001 - the contract under test
+        checks.record(f"{name}: typed error", False,
+                      f"untyped {type(exc).__name__}: {exc}")
+        return
+    checks.record(f"{name}: typed error", False,
+                  "run succeeded where a typed error was required")
+
+
+def _raise(exc: BaseException) -> None:
+    raise exc
+
+
+def _pipeline_case(checks: Checks, spec: FaultSpec, join_input: JoinInput,
+                   baseline: JoinResult) -> None:
     """Run one pipeline with exactly one fault spec active."""
     from repro.api import make_join  # local import: api imports the pipelines
 
     plan = FaultPlan((spec,), name=f"chaos-{spec.label()}")
-    with activate_plan(plan), activate_policy(policy or current_policy()):
-        try:
-            result = make_join(algorithm).run(join_input)
-        except ReproError as exc:
-            report = getattr(exc, "report", None)
-            if report is None:
-                return ChaosCase(
-                    algorithm, spec, ok=False, outcome="typed-error",
-                    detail=f"{type(exc).__name__} carries no FailureReport: "
-                           f"{exc}")
-            return ChaosCase(algorithm, spec, ok=True, outcome="typed-error",
-                             detail=type(exc).__name__, reports=[report])
-        except Exception as exc:  # noqa: BLE001 - the contract under test
-            return ChaosCase(
-                algorithm, spec, ok=False, outcome="bare-exception",
-                detail=f"{type(exc).__name__}: {exc}")
-    error = _result_checks(result, baseline)
-    return ChaosCase(algorithm, spec, ok=error is None,
-                     outcome=_classify(result), detail=error or "",
-                     reports=list(result.faults))
+    try:
+        with activate_plan(plan):
+            result = make_join(spec.algorithm).run(join_input)
+    except Exception as exc:  # noqa: BLE001 - expect_typed judges it
+        expect_typed(checks, spec.label(), partial(_raise, exc))
+        return
+    expect_identical(checks, spec.label(), baseline, result, injected=True)
 
 
-def run_artifact_spec(algorithm: str, spec: FaultSpec,
-                      baseline: JoinResult,
-                      artifact_dir: Path) -> ChaosCase:
+def _artifact_case(checks: Checks, spec: FaultSpec, baseline: JoinResult,
+                   directory: Path) -> None:
     """Exercise the torn-append / tolerant-load / atomic-rewrite path."""
     from repro.exec.serialize import (
         append_results_jsonl,
@@ -165,77 +225,51 @@ def run_artifact_spec(algorithm: str, spec: FaultSpec,
         results_to_jsonl,
     )
 
-    path = Path(artifact_dir) / f"{algorithm}-chaos.jsonl"
-    if path.exists():
-        path.unlink()
+    label = spec.label()
+    path = directory / f"{spec.algorithm}-chaos.jsonl"
     append_results_jsonl([baseline], path)  # one intact line
-    plan = FaultPlan((spec,), name=f"chaos-{spec.label()}")
-    reports: List[FailureReport] = []
-    with activate_plan(plan), fault_scope(algorithm) as scope:
-        try:
-            append_results_jsonl([baseline], path)
-        except ArtifactCorruptionError as exc:
-            if exc.report is None:
-                return ChaosCase(
-                    algorithm, spec, ok=False, outcome="typed-error",
-                    detail="ArtifactCorruptionError carries no report")
-            reports.extend(scope.reports)
-        else:
-            return ChaosCase(
-                algorithm, spec, ok=False, outcome="no-injection",
-                detail="artifact fault did not fire on append")
+    plan = FaultPlan((spec,), name=f"chaos-{label}")
+    with activate_plan(plan), fault_scope(spec.algorithm):
+        expect_typed(checks, f"{label}/append",
+                     partial(append_results_jsonl, [baseline], path))
     # Recovery: tolerant load skips the torn trailing line (with a
     # warning), then the artifact is rewritten atomically and reloaded
-    # strictly — the repaired file must round-trip every surviving record.
+    # strictly — the repaired file must round-trip the intact record.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         loaded = results_from_jsonl_file(path, tolerant=True)
-    if not any(issubclass(w.category, RuntimeWarning) for w in caught):
-        return ChaosCase(algorithm, spec, ok=False, outcome="repaired",
-                         detail="tolerant loader did not warn on torn line")
-    if len(loaded) != 1 or not loaded[0].matches(baseline):
-        return ChaosCase(algorithm, spec, ok=False, outcome="repaired",
-                         detail=f"tolerant load returned {len(loaded)} "
-                                "record(s) or a diverged record")
+    checks.record(f"{label}/load: tolerant loader warned",
+                  any(issubclass(w.category, RuntimeWarning)
+                      for w in caught),
+                  "no RuntimeWarning for the torn line")
+    if not checks.equal(f"{label}/load: intact record kept",
+                        len(loaded), 1):
+        return
     tmp = path.with_suffix(".tmp")
     tmp.write_text(results_to_jsonl(loaded), encoding="utf-8")
     os.replace(tmp, path)
     repaired = results_from_jsonl_file(path)  # strict: must parse clean
-    recovery = FailureReport(
-        kind=ARTIFACT_CORRUPTION, point="artifact", algorithm=algorithm,
-        action="rewrite", recovered=True, injected=True,
+    attach_posthoc_report(repaired[0], FailureReport(
+        kind=ARTIFACT_CORRUPTION, point="artifact",
+        algorithm=spec.algorithm, action="rewrite", recovered=True,
+        injected=True,
         error="torn trailing line dropped; artifact rewritten atomically",
         context={"path": str(path), "records_kept": len(repaired)},
-    )
-    attach_posthoc_report(repaired[0], recovery)
-    reports.append(recovery)
-    error = verify_result_faults(repaired[0])
-    if error is not None:
-        return ChaosCase(algorithm, spec, ok=False, outcome="repaired",
-                         detail=error)
-    if not repaired[0].matches(baseline):
-        return ChaosCase(algorithm, spec, ok=False, outcome="repaired",
-                         detail="repaired record diverged from baseline")
-    return ChaosCase(algorithm, spec, ok=True, outcome="repaired",
-                     reports=reports)
+    ))
+    expect_identical(checks, f"{label}/repaired", baseline, repaired[0],
+                     injected=True)
 
 
-def run_chaos(
-    join_input: JoinInput,
-    seed: int = 42,
-    algorithms: Sequence[str] = DEFAULT_CHAOS_ALGORITHMS,
-    policy: Optional[RecoveryPolicy] = None,
-    artifact_dir: Optional[Path] = None,
-) -> ChaosOutcome:
-    """Run the full seeded sweep: every fault class against every algorithm.
+def run_chaos(checks: Checks, join_input: JoinInput, seed: int = 42,
+              algorithms: Sequence[str] = DEFAULT_CHAOS_ALGORITHMS) -> None:
+    """Record the seeded sweep: every fault class against every algorithm.
 
     Baselines run fault-free first; each spec then runs in isolation
-    against its algorithm and is checked for exact recovery (or a typed,
-    report-carrying error).  Deterministic for a given (seed, join_input).
+    against its algorithm, and its checks are named by ``spec.label()``.
+    Deterministic for a given (seed, join_input).
     """
     from repro.api import make_join  # local import: api imports the pipelines
 
-    plan = seeded_plan(seed, algorithms)
     baselines: Dict[str, JoinResult] = {}
     for algorithm in algorithms:
         baseline = make_join(algorithm).run(join_input)
@@ -244,23 +278,29 @@ def run_chaos(
                 f"fault-free baseline for {algorithm} recorded "
                 f"{len(baseline.faults)} fault report(s)")
         baselines[algorithm] = baseline
-    outcome = ChaosOutcome(seed=seed, plan=plan, baselines=baselines)
-    own_tmp = None
-    if artifact_dir is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        artifact_dir = Path(own_tmp.name)
-    try:
-        for spec in plan.specs:
-            algorithm = spec.algorithm
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        for spec in seeded_plan(seed, algorithms).specs:
+            baseline = baselines[spec.algorithm]
             if spec.kind == ARTIFACT_CORRUPTION:
-                case = run_artifact_spec(algorithm, spec,
-                                         baselines[algorithm],
-                                         Path(artifact_dir))
+                _artifact_case(checks, spec, baseline, Path(tmp))
             else:
-                case = run_spec(algorithm, spec, join_input,
-                                baselines[algorithm], policy=policy)
-            outcome.cases.append(case)
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
-    return outcome
+                _pipeline_case(checks, spec, join_input, baseline)
+
+
+def pipeline_source(tuples: int = 8192, theta: float = 1.0, seed: int = 42,
+                    algorithms: Sequence[str] = DEFAULT_CHAOS_ALGORITHMS,
+                    ) -> Source:
+    """The pipeline sweep over a seeded zipf workload (plan seed = workload
+    seed); refuses sizes below :data:`PIPELINE_MIN_TUPLES`."""
+    if tuples < PIPELINE_MIN_TUPLES:
+        raise ConfigError(
+            f"the pipeline chaos sweep needs --tuples >= "
+            f"{PIPELINE_MIN_TUPLES}, got {tuples}: below it the seeded "
+            "plan targets partition pairs some algorithms never reach")
+
+    def scenario(checks: Checks) -> Dict:
+        join_input = ZipfWorkload(tuples, tuples, theta, seed=seed).generate()
+        run_chaos(checks, join_input, seed=seed, algorithms=algorithms)
+        return {"theta": theta, "algorithms": list(algorithms)}
+
+    return Source("pipeline", seed, tuples, scenario)

@@ -22,7 +22,9 @@ pipeline run) or fails with a **typed** error (``DeadlineExceeded``,
 ``CircuitOpen``, ``UnrecoveredFaultError``, ...) — never a hung
 connection, never a dead daemon.  The post-sweep ``health`` probe must
 report every worker live, every circuit closed, and zero in-flight
-requests; its payload can be written to a JSON artifact for CI upload.
+requests.  :func:`serve_source` makes this the ``serve`` source of the
+one chaos runner (:func:`repro.faults.chaos.run_checks`); the post-storm
+health payload rides in its ``chaos-checks.json`` artifact.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
+from repro.faults.chaos import Checks, Source
 from repro.serve.client import ProbeReply, ServeClient
 from repro.serve.engine import ServeEngine
-from repro.serve.protocol import encode_message, relation_from_spec
+from repro.serve.protocol import encode_message
 from repro.serve.server import ServeServer
-from repro.serve.smoke import SmokeChecks
+from repro.serve.smoke import direct_summary, workload_specs
 
 #: Morsel size of every chaos probe: small enough that the default-sized
 #: probe side streams several chunks (slow faults and disconnects need
@@ -82,7 +84,7 @@ def _expected(script: str) -> Optional[str]:
             "slow-deadline": "DeadlineExceeded"}.get(script)
 
 
-def _check_reply(checks: SmokeChecks, label: str, script: str,
+def _check_reply(checks: Checks, label: str, script: str,
                  reply: ProbeReply, want_summary: Dict[str, int]) -> None:
     """One reply against the bit-identical-or-typed-error contract."""
     want_error = _expected(script)
@@ -102,7 +104,7 @@ def _check_reply(checks: SmokeChecks, label: str, script: str,
             str(reply.error or reply.response.get("type")))
 
 
-async def _client_worker(checks: SmokeChecks, port: int, relation: str,
+async def _client_worker(checks: Checks, port: int, relation: str,
                          probe_spec: Dict, jobs: List[Dict],
                          want_summary: Dict[str, int],
                          client_id: int) -> None:
@@ -126,7 +128,7 @@ async def _client_worker(checks: SmokeChecks, port: int, relation: str,
         await client.close()
 
 
-async def _disconnect_scenario(checks: SmokeChecks, server: ServeServer,
+async def _disconnect_scenario(checks: Checks, server: ServeServer,
                                relation: str, probe_spec: Dict) -> None:
     """A raw client that reads one chunk, then aborts the connection."""
     reader, writer = await asyncio.open_connection(server.host, server.port)
@@ -155,7 +157,7 @@ async def _disconnect_scenario(checks: SmokeChecks, server: ServeServer,
                   f"inflight={server.engine.admission.inflight}")
 
 
-async def _circuit_scenario(checks: SmokeChecks, client: ServeClient,
+async def _circuit_scenario(checks: Checks, client: ServeClient,
                             relation: str, probe_spec: Dict,
                             threshold: int,
                             want_summary: Dict[str, int]) -> None:
@@ -198,9 +200,8 @@ def _maybe_engage_pool():
     return pool if pool.uses_processes else None
 
 
-async def _scenario(checks: SmokeChecks, n: int, theta: float, seed: int,
-                    clients: int, requests: int,
-                    health_out: Optional[Path]) -> None:
+async def _scenario(checks: Checks, n: int, theta: float, seed: int,
+                    clients: int, requests: int) -> Dict:
     rng = random.Random(seed)
     engine = ServeEngine(
         circuit_reset_seconds=CHAOS_CIRCUIT_RESET_SECONDS)
@@ -210,27 +211,17 @@ async def _scenario(checks: SmokeChecks, n: int, theta: float, seed: int,
     control = ServeClient(port=server.port)
     await control.connect()
     hot, flaky = "chaos-hot", "chaos-flaky"
-    build_spec = {"generator": "zipf", "n": n, "theta": theta,
-                  "seed": seed, "side": "r"}
-    probe_spec = {"generator": "zipf", "n": n, "theta": theta,
-                  "seed": seed, "side": "s"}
-    flaky_build = {"generator": "uniform", "n": max(n // 4, 256),
-                   "seed": seed + 1, "side": "r"}
-    flaky_probe = {"generator": "uniform", "n": max(n // 4, 256),
-                   "seed": seed + 1, "side": "s"}
+    build_spec, probe_spec = workload_specs("zipf", n, seed, theta=theta)
+    flaky_build, flaky_probe = workload_specs("uniform", max(n // 4, 256),
+                                              seed + 1)
     n_morsels = -(-n // CHAOS_MORSEL_TUPLES)
     try:
         await control.register(hot, build_spec)
         await control.register(flaky, flaky_build)
 
         # Ground truth from a direct in-process pipeline run.
-        hot_direct = _direct_run(build_spec, probe_spec)
-        want = {"count": hot_direct.output_count,
-                "checksum": hot_direct.output_checksum}
-        flaky_direct = _direct_run(flaky_build, flaky_probe)
-        flaky_want = {"count": flaky_direct.output_count,
-                      "checksum": flaky_direct.output_checksum}
-
+        want = direct_summary(build_spec, probe_spec)
+        flaky_want = direct_summary(flaky_build, flaky_probe)
         baseline = await control.probe(hot, probe_spec,
                                        morsel_tuples=CHAOS_MORSEL_TUPLES,
                                        trace_id="chaos-baseline")
@@ -281,48 +272,22 @@ async def _scenario(checks: SmokeChecks, n: int, theta: float, seed: int,
                       str(health["metrics"]))
         checks.record("post-sweep health verdict is ok",
                       health.get("ok") is True, json.dumps(health))
-        if health_out is not None:
-            health_out.parent.mkdir(parents=True, exist_ok=True)
-            health_out.write_text(json.dumps(
-                {"health": health,
-                 "checks": [{"name": name, "ok": ok}
-                            for name, ok, _ in checks.checks]},
-                indent=2, sort_keys=True) + "\n")
         bye = await control.shutdown()
         checks.record("shutdown answers bye", bye.get("type") == "bye")
     finally:
         await control.close()
         await server.close()
         await serve_loop
+    return {"theta": theta, "clients": clients, "requests": requests,
+            "health": health}
 
 
-def _direct_run(build_spec: Dict, probe_spec: Dict):
-    from repro.api import make_join
-    from repro.data.relation import JoinInput
+def serve_source(tuples: int = 8192, theta: float = 1.0, seed: int = 7,
+                 clients: int = 4, requests: int = 20) -> Source:
+    """The storm against an in-process daemon; its extra artifact payload
+    is the post-storm ``health``."""
+    def scenario(checks: Checks) -> Dict:
+        return asyncio.run(_scenario(checks, tuples, theta, seed,
+                                     max(1, clients), max(1, requests)))
 
-    join_input = JoinInput(r=relation_from_spec(build_spec),
-                           s=relation_from_spec(probe_spec),
-                           meta={"generator": "serve-chaos"})
-    return make_join("cbase").run(join_input)
-
-
-def run_serve_chaos(n: int = 8192, theta: float = 1.0, seed: int = 7,
-                    clients: int = 4, requests: int = 20,
-                    health_out: Optional[Union[str, Path]] = None,
-                    quiet: bool = False) -> int:
-    """Run the storm; returns a process exit code (0 = all green)."""
-    checks = SmokeChecks()
-    checks.label = "serve chaos"
-    try:
-        asyncio.run(_scenario(checks, n, theta, seed, max(1, clients),
-                              max(1, requests),
-                              Path(health_out) if health_out else None))
-    except Exception as exc:  # noqa: BLE001 - chaos must report, not crash
-        checks.record("scenario ran to completion", False,
-                      f"{type(exc).__name__}: {exc}")
-    else:
-        checks.record("scenario ran to completion", True)
-    if not quiet:
-        print("serve chaos — concurrent fault storm against the daemon")
-        print(checks.render())
-    return 0 if checks.ok else 1
+    return Source("serve", seed, tuples, scenario)

@@ -21,22 +21,26 @@ connection:
    :class:`~repro.exec.result.JoinResult` records, one per completed
    probe.
 
-Exit status 0 means every check passed; failures are listed on stdout.
+:func:`run_smoke` is the ``smoke`` source of the one chaos runner
+(:func:`repro.faults.chaos.run_checks`): exit status 0 means every check
+passed; failures are listed on stdout.
 """
 
 from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.data.relation import JoinInput
 from repro.exec.serialize import results_from_jsonl_file
+from repro.faults.chaos import Checks, Source, run_checks
 from repro.serve.admission import AdmissionController
 from repro.serve.client import ServeClient
 from repro.serve.engine import ServeEngine
 from repro.serve.protocol import relation_from_spec
 from repro.serve.server import ServeServer
+
 
 def _smoke_max_morsels(n: int) -> int:
     """Morsel budget of the smoke server: roomy for default-sized probes,
@@ -46,54 +50,24 @@ def _smoke_max_morsels(n: int) -> int:
     return max(1, (n // 64) // 2)
 
 
-class SmokeChecks:
-    """Ordered pass/fail ledger the scenario appends to."""
-
-    #: Harness name used in the rendered summary line.
-    label = "serve smoke"
-
-    def __init__(self):
-        self.checks: List[Tuple[str, bool, str]] = []
-
-    def record(self, name: str, ok: bool, detail: str = "") -> bool:
-        self.checks.append((name, bool(ok), detail))
-        return bool(ok)
-
-    def equal(self, name: str, got, want) -> bool:
-        return self.record(name, got == want, f"got {got!r}, want {want!r}")
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def render(self) -> str:
-        lines = []
-        for name, ok, detail in self.checks:
-            status = "ok  " if ok else "FAIL"
-            suffix = f"  ({detail})" if detail and not ok else ""
-            lines.append(f"  {status}  {name}{suffix}")
-        n_bad = sum(1 for _, ok, _ in self.checks if not ok)
-        lines.append("")
-        if n_bad:
-            lines.append(f"{self.label}: {n_bad}/{len(self.checks)} "
-                         "check(s) FAILED")
-        else:
-            lines.append(f"{self.label}: all {len(self.checks)} "
-                         "checks passed")
-        return "\n".join(lines)
+def workload_specs(generator: str, n: int, seed: int,
+                   **params) -> Tuple[Dict, Dict]:
+    """(build, probe) relation specs of one seeded workload."""
+    spec = {"generator": generator, "n": n, "seed": seed, **params}
+    return dict(spec, side="r"), dict(spec, side="s")
 
 
-def _build_spec(n: int, theta: float, seed: int) -> Dict:
-    return {"generator": "zipf", "n": n, "theta": theta, "seed": seed,
-            "side": "r"}
+def direct_summary(build_spec: Dict, probe_spec: Dict) -> Dict[str, int]:
+    """The served-answer summary of a direct in-process cbase run."""
+    from repro.api import make_join
+
+    result = make_join("cbase").run(JoinInput(
+        r=relation_from_spec(build_spec), s=relation_from_spec(probe_spec)))
+    return {"count": result.output_count,
+            "checksum": result.output_checksum}
 
 
-def _probe_spec(n: int, theta: float, seed: int) -> Dict:
-    return {"generator": "zipf", "n": n, "theta": theta, "seed": seed,
-            "side": "s"}
-
-
-async def _scenario(checks: SmokeChecks, n: int, theta: float, seed: int,
+async def _scenario(checks: Checks, n: int, theta: float, seed: int,
                     trace_path: Optional[Path]) -> None:
     engine = ServeEngine(
         admission=AdmissionController(max_morsels=_smoke_max_morsels(n)))
@@ -103,8 +77,7 @@ async def _scenario(checks: SmokeChecks, n: int, theta: float, seed: int,
     client = ServeClient(port=server.port)
     await client.connect()
     relation = "smoke"
-    build_spec = _build_spec(n, theta, seed)
-    probe_spec = _probe_spec(n, theta, seed)
+    build_spec, probe_spec = workload_specs("zipf", n, seed, theta=theta)
     try:
         pong = await client.ping()
         checks.equal("ping answers pong", pong.get("type"), "pong")
@@ -164,11 +137,9 @@ async def _scenario(checks: SmokeChecks, n: int, theta: float, seed: int,
                      strip, strip_cold)
 
         # 3. Bit-identity against a direct in-process pipeline run.
-        direct = _direct_run(build_spec, probe_spec)
         checks.equal(
             "served answer bit-identical to a direct cbase run",
-            summary_a, {"count": direct.output_count,
-                        "checksum": direct.output_checksum})
+            summary_a, direct_summary(build_spec, probe_spec))
 
         # 4a. Recovered injected fault: same answer, fault report attached.
         faulty = await client.probe(
@@ -239,31 +210,14 @@ async def _scenario(checks: SmokeChecks, n: int, theta: float, seed: int,
             str([r.algorithm for r in loaded]))
 
 
-def _direct_run(build_spec: Dict, probe_spec: Dict):
-    from repro.api import make_join
-
-    join_input = JoinInput(r=relation_from_spec(build_spec),
-                           s=relation_from_spec(probe_spec),
-                           meta={"generator": "smoke"})
-    return make_join("cbase").run(join_input)
-
-
 def run_smoke(n: int = 4096, theta: float = 1.0, seed: int = 42,
-              trace_out: Optional[Union[str, Path]] = None,
-              quiet: bool = False) -> int:
+              trace_out: Optional[Union[str, Path]] = None) -> int:
     """Run the scenario; returns a process exit code (0 = all green)."""
-    checks = SmokeChecks()
     trace_path = Path(trace_out) if trace_out else None
     if trace_path is not None and trace_path.exists():
         trace_path.unlink()
-    try:
+
+    def scenario(checks: Checks) -> None:
         asyncio.run(_scenario(checks, n, theta, seed, trace_path))
-    except Exception as exc:  # noqa: BLE001 - smoke must report, not crash
-        checks.record("scenario ran to completion", False,
-                      f"{type(exc).__name__}: {exc}")
-    else:
-        checks.record("scenario ran to completion", True)
-    if not quiet:
-        print("serve smoke — daemon + client over a loopback socket")
-        print(checks.render())
-    return 0 if checks.ok else 1
+
+    return run_checks("serve smoke", Source("smoke", seed, n, scenario))

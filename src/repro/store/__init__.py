@@ -8,8 +8,9 @@ format whose columns page in lazily through an LRU segment cache
 ledger with tolerant torn-tail loads (:mod:`repro.store.checkpoint`),
 the ``REPRO_MEMORY_BUDGET``-gated partition spiller and its ambient
 session (:mod:`repro.store.spill`), the ``repro run --resume`` driver
-(:mod:`repro.store.resume`), and the kill-and-resume chaos harness
-behind ``repro chaos --spill`` (:mod:`repro.store.chaos`).
+(:mod:`repro.store.resume`), and the kill-and-resume scenario source
+behind ``repro chaos --spill`` (:mod:`repro.store.chaos`), which records
+into the one chaos runner of :mod:`repro.faults.chaos`.
 """
 
 from repro.store.chunks import (

@@ -20,14 +20,15 @@ spill-capable algorithm (Cbase, CSH) on the ambient backend:
   is discarded with a warning; a chunk file corrupted behind the
   manifest's back is dropped by resume revalidation and re-spilled.
 
-Every scenario ends in exactly one of two states: a bit-identical
-``JoinResult`` or a typed error carrying a ``FailureReport`` — silent
-corruption fails the sweep.  Exit status 0 means every check passed.
+Every scenario ends in exactly one of two states — a bit-identical
+``JoinResult`` or a typed error carrying a ``FailureReport`` — checked by
+the one contract in :mod:`repro.faults.chaos`; silent corruption fails
+the sweep.  :func:`spill_source` makes this the ``spill`` source of the
+one chaos runner (:func:`repro.faults.chaos.run_checks`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
@@ -36,10 +37,12 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
-from repro.errors import ReproError, SpillError
+from repro.data.zipf import ZipfWorkload
+from repro.errors import ConfigError
 from repro.exec.backend import current_backend
+from repro.faults.chaos import Checks, Source, expect_identical, expect_typed
 from repro.faults.plan import (
     CORRUPT_CHUNK,
     DISK_FAULT_KINDS,
@@ -51,10 +54,7 @@ from repro.faults.plan import (
     injection_point,
     seeded_spill_plan,
 )
-from repro.faults.report import verify_result_faults
 from repro.faults.scope import activate_plan
-from repro.obs import verify_result_trace
-from repro.serve.smoke import SmokeChecks
 from repro.store.checkpoint import KILL_AFTER_ENV, LEDGER_NAME
 from repro.store.chunks import MANIFEST_NAME, _CHUNK_SUFFIX
 from repro.store.resume import RUN_STATE_NAME, resume_run, write_run_state
@@ -63,60 +63,20 @@ from repro.store.spill import open_spill_session
 #: How many checkpointed pairs each subprocess completes before SIGKILL.
 KILL_POINTS = (1, 2)
 
+#: Smallest ``--tuples`` the spill sweep accepts: below it a spilled run
+#: checkpoints too few partition pairs for the last kill point to land
+#: (at 2048 tuples the kill@2 child finishes and exits 0).
+SPILL_MIN_TUPLES = 4096
+
 #: Retries far beyond the policy budget: the spec keeps firing until the
 #: ladder exhausts, which is the point of the exhaustion scenarios.
 _EXHAUST_REPEAT = 99
 
 
-class SpillChecks(SmokeChecks):
-    """The spill-chaos pass/fail ledger."""
-
-    label = "spill chaos"
-
-
-def _result_ok(checks: SpillChecks, name: str, baseline, result,
-               require_injected: bool = False) -> None:
-    """The recovered-run contract: identical answer, balanced books."""
-    checks.record(f"{name}: bit-identical",
-                  baseline.matches(result),
-                  f"got ({result.output_count}, "
-                  f"{result.output_checksum:#x}), want "
-                  f"({baseline.output_count}, "
-                  f"{baseline.output_checksum:#x})")
-    if require_injected:
-        injected = sum(1 for r in result.faults if r.injected)
-        checks.record(f"{name}: injected report present", injected >= 1,
-                      f"{injected} injected report(s)")
-    trace_issue = verify_result_trace(result)
-    checks.record(f"{name}: trace balanced", trace_issue is None,
-                  str(trace_issue))
-    fault_issue = verify_result_faults(result)
-    checks.record(f"{name}: fault counters consistent", fault_issue is None,
-                  str(fault_issue))
-
-
-def _typed_error(checks: SpillChecks, name: str, run) -> None:
-    """The typed-failure contract: SpillError carrying its report."""
-    try:
-        run()
-    except SpillError as exc:
-        checks.record(f"{name}: typed SpillError", True)
-        checks.record(f"{name}: error carries report",
-                      getattr(exc, "report", None) is not None)
-    except ReproError as exc:  # pragma: no cover - wrong type is a failure
-        checks.record(f"{name}: typed SpillError", False,
-                      f"got {type(exc).__name__} instead")
-    else:
-        checks.record(f"{name}: typed SpillError", False,
-                      "run succeeded where a typed error was required")
-
-
-def _kind_plan(algorithm: str, kind: str, occurrence: int = 1,
-               repeat: int = 1) -> FaultPlan:
+def _kind_plan(algorithm: str, kind: str, repeat: int) -> FaultPlan:
     return FaultPlan((FaultSpec(kind=kind,
                                 point=injection_point(algorithm, kind),
-                                occurrence=occurrence, repeat=repeat,
-                                algorithm=algorithm),),
+                                repeat=repeat, algorithm=algorithm),),
                      name=f"spill-{kind}")
 
 
@@ -135,9 +95,9 @@ def _spawn_killed_run(directory: Path, kill_after: int) -> int:
     return proc.returncode
 
 
-def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
-                         budget: int, chunk_bytes: int, seed: int,
-                         artifact_dir: Optional[Path]) -> None:
+def _chaos_one_algorithm(checks: Checks, algorithm: str, workload: Dict,
+                         join_input, budget: int, chunk_bytes: int,
+                         seed: int, artifact_dir: Optional[Path]) -> None:
     from repro.api import make_join
 
     baseline = make_join(algorithm).run(join_input)
@@ -151,7 +111,7 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                       session.spilled_partitions > 0,
                       f"{session.spilled_partitions} spilled under a "
                       f"{budget}-byte budget")
-    _result_ok(checks, f"{algorithm}/clean", baseline, result)
+    expect_identical(checks, f"{algorithm}/clean", baseline, result)
 
     # ---- each disk fault kind from the seeded plan, one at a time.
     plan = seeded_spill_plan(seed, algorithms=(algorithm,))
@@ -161,8 +121,8 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                 with open_spill_session(d, budget_bytes=budget,
                                         chunk_bytes=chunk_bytes):
                     result = make_join(algorithm).run(join_input)
-        _result_ok(checks, f"{algorithm}/{spec.kind}", baseline, result,
-                   require_injected=True)
+        expect_identical(checks, f"{algorithm}/{spec.kind}", baseline,
+                         result, injected=True)
 
     # ---- write-ladder exhaustion: degrade to RAM under a soft budget...
     for kind in (TORN_WRITE, ENOSPC):
@@ -172,8 +132,8 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                 with open_spill_session(d, budget_bytes=budget,
                                         chunk_bytes=chunk_bytes):
                     result = make_join(algorithm).run(join_input)
-        _result_ok(checks, f"{algorithm}/{kind}-exhausted", baseline,
-                   result, require_injected=True)
+        expect_identical(checks, f"{algorithm}/{kind}-exhausted", baseline,
+                         result, injected=True)
         checks.record(f"{algorithm}/{kind}-exhausted: degraded to RAM",
                       result.meta.get("spill_degraded", 0) > 0,
                       f"meta {result.meta.get('spill_degraded')!r}")
@@ -188,7 +148,7 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                                         strict=True):
                     make_join(algorithm).run(join_input)
 
-    _typed_error(checks, f"{algorithm}/torn-write-strict", strict_run)
+    expect_typed(checks, f"{algorithm}/torn-write-strict", strict_run)
 
     # ---- read-ladder exhaustion is terminal regardless of strictness.
     def rot_run():
@@ -199,10 +159,9 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                                         chunk_bytes=chunk_bytes):
                     make_join(algorithm).run(join_input)
 
-    _typed_error(checks, f"{algorithm}/corrupt-chunk-exhausted", rot_run)
+    expect_typed(checks, f"{algorithm}/corrupt-chunk-exhausted", rot_run)
 
     # ---- SIGKILL sweep: crash after the k-th fsynced checkpoint, resume.
-    n_r = int(join_input.r.keys.size)
     for kill_after in KILL_POINTS:
         d = Path(tempfile.mkdtemp(prefix="repro-chaos-kill-"))
         try:
@@ -210,8 +169,7 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                 "algorithm": algorithm, "backend": current_backend(),
                 "budget_bytes": budget, "strict": False,
                 "chunk_bytes": chunk_bytes, "codec": "raw",
-                "workload": {"kind": "zipf", "n_r": n_r, "n_s": n_r,
-                             "theta": 1.0, "seed": seed},
+                "workload": workload,
             })
             rc = _spawn_killed_run(d, kill_after)
             checks.record(
@@ -222,8 +180,9 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 result = resume_run(d)
-            _result_ok(checks, f"{algorithm}/kill@{kill_after}-resume",
-                       baseline, result)
+            expect_identical(checks,
+                             f"{algorithm}/kill@{kill_after}-resume",
+                             baseline, result)
             checks.record(
                 f"{algorithm}/kill@{kill_after}-resume: pairs skipped",
                 result.meta.get("resumed_pairs", 0) >= kill_after,
@@ -244,8 +203,8 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", RuntimeWarning)
                         result = resume_run(d)
-                    _result_ok(checks, f"{algorithm}/rot-resume",
-                               baseline, result)
+                    expect_identical(checks, f"{algorithm}/rot-resume",
+                                     baseline, result)
                     checks.record(
                         f"{algorithm}/rot-resume: bad chunk dropped",
                         result.meta.get("spill_invalid_chunks", 0) >= 1,
@@ -263,8 +222,8 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
                     any(issubclass(w.category, RuntimeWarning)
                         for w in caught),
                     "no RuntimeWarning for the torn ledger line")
-                _result_ok(checks, f"{algorithm}/torn-tail-resume",
-                           baseline, result)
+                expect_identical(checks, f"{algorithm}/torn-tail-resume",
+                                 baseline, result)
 
             if artifact_dir is not None:
                 dest = artifact_dir / f"{algorithm}-kill{kill_after}"
@@ -277,34 +236,40 @@ def _chaos_one_algorithm(checks: SpillChecks, algorithm: str, join_input,
             shutil.rmtree(d, ignore_errors=True)
 
 
-def run_spill_chaos(n: int = 8192, theta: float = 1.0, seed: int = 42,
-                    algorithms=SPILL_ALGORITHM_NAMES,
-                    artifact_dir: Optional[str] = None) -> int:
-    """Run the full spill-chaos sweep; returns the process exit code."""
-    from repro.data.zipf import ZipfWorkload
+def spill_source(tuples: int = 8192, theta: float = 1.0, seed: int = 42,
+                 algorithms: Sequence[str] = SPILL_ALGORITHM_NAMES,
+                 artifact_dir: Optional[str] = None) -> Source:
+    """The spill sweep over a seeded zipf workload; with ``artifact_dir``
+    each kill point's manifest, ledger and run state are copied there.
 
-    checks = SpillChecks()
-    join_input = ZipfWorkload(n, n, theta, seed=seed).generate()
-    budget = max(12 * 2 * n // 4, 1)
-    chunk_bytes = max(budget // 2, 4096)
-    out_dir = Path(artifact_dir) if artifact_dir else None
-    for algorithm in algorithms:
-        _chaos_one_algorithm(checks, algorithm, join_input, budget,
-                             chunk_bytes, seed, out_dir)
-    print(checks.render())
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "backend": current_backend(),
-            "n_tuples": n, "theta": theta, "seed": seed,
-            "kill_points": list(KILL_POINTS),
-            "disk_fault_kinds": list(DISK_FAULT_KINDS),
-            "ok": checks.ok,
-            "checks": [{"name": name, "ok": ok, "detail": detail}
-                       for name, ok, detail in checks.checks],
-        }
-        path = out_dir / "spill-chaos-checks.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                        + "\n", encoding="utf-8")
-        print(f"\nspill chaos artifacts written to {out_dir}")
-    return 0 if checks.ok else 1
+    Refuses sizes below :data:`SPILL_MIN_TUPLES` and algorithms outside
+    :data:`SPILL_ALGORITHM_NAMES` with a :class:`ConfigError`.
+    """
+    if tuples < SPILL_MIN_TUPLES:
+        raise ConfigError(
+            f"the spill chaos sweep needs --tuples >= {SPILL_MIN_TUPLES}, "
+            f"got {tuples}: below it the kill points are never reached")
+    unknown = sorted(set(algorithms) - set(SPILL_ALGORITHM_NAMES))
+    if unknown or not algorithms:
+        raise ConfigError(
+            "the spill chaos sweep runs only "
+            f"{', '.join(SPILL_ALGORITHM_NAMES)}; got "
+            f"{', '.join(unknown) or 'no algorithm'}")
+
+    def scenario(checks: Checks) -> Dict:
+        # One recipe for the baseline and every killed-and-resumed run.
+        workload = {"kind": "zipf", "n_r": tuples, "n_s": tuples,
+                    "theta": theta, "seed": seed}
+        join_input = ZipfWorkload(tuples, tuples, theta,
+                                  seed=seed).generate()
+        budget = max(12 * 2 * tuples // 4, 1)
+        chunk_bytes = max(budget // 2, 4096)
+        out_dir = Path(artifact_dir) if artifact_dir else None
+        for algorithm in algorithms:
+            _chaos_one_algorithm(checks, algorithm, workload, join_input,
+                                 budget, chunk_bytes, seed, out_dir)
+        return {"theta": theta, "algorithms": list(algorithms),
+                "kill_points": list(KILL_POINTS),
+                "disk_fault_kinds": list(DISK_FAULT_KINDS)}
+
+    return Source("spill", seed, tuples, scenario)

@@ -420,7 +420,7 @@ def test_ci_runs_serve_chaos_with_health_artifact():
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "serve-chaos:" in ci
     assert "chaos --serve" in ci
-    assert "--health-out" in ci
+    assert "--artifact-dir" in ci.split("serve-chaos:")[1]
     assert "REPRO_BACKEND=parallel" in ci
     assert "serve-health" in ci
     makefile = (ROOT / "Makefile").read_text()

@@ -73,9 +73,13 @@ perf:
 	$(PYTHON) perf/run.py
 	$(PYTHON) perf/run.py --trace --seconds 5
 
-# Cross-backend differential over the full algorithm x dataset grid.
+# Cross-backend differential over the full algorithm x dataset grid, then
+# the matchers' ring-tail path: at 11525 tuples one gbase/gsh emit on the
+# seed-42 zipf-1.0 dataset passes 2^21 pairs, far beyond the ring's capacity.
 diff-backends:
 	$(PYTHON) -m repro diff --tuples 4096
+	REPRO_WORKERS=2 REPRO_PARALLEL_MIN_TUPLES=0 \
+		$(PYTHON) -m repro diff --tuples 11525 --algorithms gbase,gsh,cbase-npj
 
 # Planner regret gate over the diff grid (the CI gate): the pick must
 # land within 2x of the measured oracle on every dataset, and planned

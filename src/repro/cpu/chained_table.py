@@ -210,9 +210,10 @@ class ChainedHashTable:
         Each probe of bucket ``b`` accounts ``len(chain(b))`` chain steps
         and key compares (a chained-table probe must walk the full chain).
         Matches come from ``index``, a :class:`KeyGroupIndex` of this
-        table's entries; without one, this call builds its own.  Real
-        pairs are written to the ring buffer only while the expansion is
-        small.
+        table's entries; without one, this call builds its own.  The
+        ring gets the output's closed-form count and checksum plus real
+        pairs for only the last ``buffer.capacity`` slots, so the write
+        costs O(min(output, capacity)).
         """
         if not self._built:
             raise CapacityError(

@@ -1,7 +1,9 @@
 """Key-equality matching helpers shared by CPU and GPU executors.
 
-These compute the exact join output (count, checksum, and materialized
-pairs while small) between two tuple sets, group-wise by key.  They are the
+These compute the exact join output between two tuple sets, group-wise by
+key: its count and checksum in closed form, and as real pairs only the
+tail that the consumer's ring buffer keeps, so feeding the ring costs
+O(min(output, capacity)) however large the output is.  They are the
 functional core every probe implementation delegates to; operation
 *accounting* stays in the callers, which know what the scalar/SIMT
 algorithm would have paid.
@@ -22,10 +24,6 @@ from repro.exec.backend import dispatch
 from repro.exec.output import JoinOutputBuffer, OutputSummary
 
 _U64_MASK = (1 << 64) - 1
-
-#: Materialize real output pairs only while the expansion stays this small;
-#: beyond it only the closed-form count/checksum is recorded.
-MATERIALIZE_LIMIT = 1 << 21
 
 _NO_MATCHES = np.empty(0, dtype=np.intp)
 
@@ -79,18 +77,25 @@ class KeyGroupIndex:
                               dtype=np.uint64))
         return total, checksum
 
-    def _expand(self, hits, groups, s_payloads
+    def _expand(self, hits, groups, s_payloads, skip: int = 0
                 ) -> Tuple[np.ndarray, np.ndarray]:
         per_s = self.bounds[groups + 1] - self.bounds[groups]
+        # ends[i]: output slots up to and including S tuple i's pairs.
         ends = np.cumsum(per_s)
         total = int(ends[-1]) if ends.size else 0
-        if total == 0:
+        if total <= skip:
             return np.empty(0, np.uint32), np.empty(0, np.uint32)
+        # The S suffix whose pairs cover slots [skip, total): its first
+        # tuple contributes only the slots past `skip`.
+        lo = int(np.searchsorted(ends, skip, side="right"))
+        groups, hits, ends, per_s = (groups[lo:], hits[lo:], ends[lo:],
+                                     per_s[lo:])
+        per_s[0] = ends[0] - skip
         # Output slot j of S tuple i reads sorted R slot
-        # bounds[group] + (j - first slot of i): one arange plus one
-        # repeated per-S offset, added in place.
-        r_idx = np.arange(total)
-        r_idx += np.repeat(self.bounds[groups] - (ends - per_s), per_s)
+        # bounds[group + 1] - (ends[i] - j): one arange plus one repeated
+        # per-S offset, added in place.
+        r_idx = np.arange(skip, total)
+        r_idx += np.repeat(self.bounds[groups + 1] - ends, per_s)
         return self.payloads[r_idx], np.repeat(s_payloads[hits], per_s)
 
     def stats(self, s_keys: np.ndarray,
@@ -98,36 +103,25 @@ class KeyGroupIndex:
         """Exact (count, checksum) of the equi-join with S."""
         return self._stats(*self._lookup(s_keys), s_payloads)
 
-    def expand(self, s_keys: np.ndarray,
-               s_payloads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """All matching (r_payload, s_payload) pairs, in backend order."""
-        return self._expand(*self._lookup(s_keys), s_payloads)
+    def expand(self, s_keys: np.ndarray, s_payloads: np.ndarray,
+               skip: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """The matching (r_payload, s_payload) pairs past the first
+        ``skip``, in backend order."""
+        return self._expand(*self._lookup(s_keys), s_payloads, skip)
 
     def emit(self, s_keys: np.ndarray, s_payloads: np.ndarray,
              buffer: JoinOutputBuffer) -> OutputSummary:
-        """Join S and feed the output buffer, as :func:`emit_matches`."""
+        """Join S and feed the output buffer, as :func:`emit_matches`.
+
+        Count and checksum come in closed form; only the last
+        ``buffer.capacity`` pairs, all the ring can keep, are expanded.
+        """
         hits, groups = self._lookup(s_keys)
-        return _emit(self._stats(hits, groups, s_payloads),
-                     lambda: self._expand(hits, groups, s_payloads), buffer)
-
-
-def _emit(stats: Tuple[int, int], expand, buffer: JoinOutputBuffer
-          ) -> OutputSummary:
-    """Feed one join's output to ``buffer``: real pairs from ``expand()``
-    while the expansion is small, the closed-form summary beyond
-    :data:`MATERIALIZE_LIMIT` (overwrite-on-full semantics discard the
-    bulk anyway)."""
-    summary = OutputSummary()
-    total, checksum = stats
-    if total == 0:
-        return summary
-    if total <= MATERIALIZE_LIMIT:
-        buffer.write_pairs(*expand())
-    else:
-        buffer.count += total
-        buffer.checksum = (buffer.checksum + checksum) & _U64_MASK
-    summary.add_pairs_sum(total, checksum)
-    return summary
+        total, checksum = self._stats(hits, groups, s_payloads)
+        tail = self._expand(hits, groups, s_payloads,
+                            skip=max(total - buffer.capacity, 0))
+        buffer.write_pairs(*tail, total=total, checksum=checksum)
+        return OutputSummary(total, checksum)
 
 
 def _group_tallies(
@@ -237,14 +231,19 @@ def emit_matches(
 ) -> OutputSummary:
     """Join two tuple sets on key equality and feed the output buffer.
 
-    Real pairs are written to the ring while the expansion is small; beyond
-    :data:`MATERIALIZE_LIMIT` the buffer receives the closed-form summary
-    only.
+    Count and checksum come in closed form from :func:`match_group_stats`;
+    only the last ``buffer.capacity`` pairs, all that overwrite-on-full
+    lets the ring keep, are materialized by :func:`expand_pairs`.  The
+    write costs O(min(output, capacity)), and the ring ends up as if
+    every pair had been written.
     """
-    return _emit(
-        match_group_stats(r_keys, r_payloads, s_keys, s_payloads),
-        lambda: expand_pairs(r_keys, r_payloads, s_keys, s_payloads),
-        buffer)
+    total, checksum = match_group_stats(r_keys, r_payloads,
+                                        s_keys, s_payloads)
+    if total:
+        tail = expand_pairs(r_keys, r_payloads, s_keys, s_payloads,
+                            skip=max(total - buffer.capacity, 0))
+        buffer.write_pairs(*tail, total=total, checksum=checksum)
+    return OutputSummary(total, checksum)
 
 
 def expand_pairs(
@@ -252,15 +251,17 @@ def expand_pairs(
     r_payloads: np.ndarray,
     s_keys: np.ndarray,
     s_payloads: np.ndarray,
+    skip: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Materialize all matching (r_payload, s_payload) pairs.
+    """Materialize the matching (r_payload, s_payload) pairs past the
+    first ``skip``.
 
     All backends emit the pairs in the same order — by S tuple, then by R
     insertion order within the key — so buffer snapshots stay bit-identical.
+    The skipped prefix is never built.
     """
-    impl = dispatch(_expand_pairs_scalar, _expand_pairs_vector,
-                    _expand_pairs_parallel)
-    return impl(r_keys, r_payloads, s_keys, s_payloads)
+    impl = dispatch(_expand_pairs_scalar, _expand_pairs_vector)
+    return impl(r_keys, r_payloads, s_keys, s_payloads, skip)
 
 
 def _expand_pairs_scalar(
@@ -268,6 +269,7 @@ def _expand_pairs_scalar(
     r_payloads: np.ndarray,
     s_keys: np.ndarray,
     s_payloads: np.ndarray,
+    skip: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Tuple-at-a-time pair expansion via a per-key payload index."""
     if r_keys.size == 0 or s_keys.size == 0:
@@ -281,6 +283,13 @@ def _expand_pairs_scalar(
         group = by_key.get(k)
         if group is None:
             continue
+        if skip:
+            # Whole S groups inside the skipped prefix are passed over;
+            # the one it ends in is cut.
+            if skip >= len(group):
+                skip -= len(group)
+                continue
+            group, skip = group[skip:], 0
         out_r.extend(group)
         out_s.extend([sp] * len(group))
     return (np.asarray(out_r, dtype=np.uint32),
@@ -292,61 +301,10 @@ def _expand_pairs_vector(
     r_payloads: np.ndarray,
     s_keys: np.ndarray,
     s_payloads: np.ndarray,
+    skip: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batch pair expansion through a one-shot key-group index of R."""
-    return KeyGroupIndex(r_keys, r_payloads).expand(s_keys, s_payloads)
-
-
-def _expand_pairs_parallel(
-    r_keys: np.ndarray,
-    r_payloads: np.ndarray,
-    s_keys: np.ndarray,
-    s_payloads: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Two-round morsel-parallel pair expansion.
-
-    Round 1 counts each S morsel's output; the driver prefix-sums those
-    counts into per-morsel output offsets; round 2 writes each morsel's
-    pairs into its disjoint slice of the shared output.  Because morsels
-    are contiguous S spans and pairs are ordered by S tuple then R
-    insertion order, the concatenation equals the vector expansion
-    bit for bit.
-    """
-    from repro.exec.parallel import SharedArena, morsel_pool
-
-    pool = morsel_pool(r_keys.size + s_keys.size)
-    if pool is None or r_keys.size == 0 or s_keys.size == 0:
-        return _expand_pairs_vector(r_keys, r_payloads, s_keys, s_payloads)
-    index = KeyGroupIndex(r_keys, r_payloads)
-    morsels = _s_morsels(s_keys.size, pool)
-    with SharedArena(use_shm=pool.uses_processes) as arena:
-        gk_ref = arena.share(index.keys)
-        gs_ref = arena.share(index.bounds[:-1])
-        gc_ref = arena.share(index.counts)
-        rp_ref = arena.share(index.payloads)
-        sk_ref = arena.share(s_keys)
-        sp_ref = arena.share(s_payloads)
-        counts = pool.run("expand_count", [
-            dict(group_keys=gk_ref, group_count=gc_ref, s_keys=sk_ref,
-                 a=a, b=b)
-            for (a, b) in morsels
-        ])
-        total = int(sum(counts))
-        if total == 0:
-            return np.empty(0, np.uint32), np.empty(0, np.uint32)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        out_r, out_r_ref = arena.empty(total, np.uint32)
-        out_s, out_s_ref = arena.empty(total, np.uint32)
-        pool.run("expand_write", [
-            dict(group_keys=gk_ref, group_start=gs_ref, group_count=gc_ref,
-                 r_pays_sorted=rp_ref, s_keys=sk_ref, s_payloads=sp_ref,
-                 out_r=out_r_ref, out_s=out_s_ref, a=a, b=b,
-                 offset=int(offsets[i]))
-            for i, (a, b) in enumerate(morsels) if counts[i]
-        ])
-        if pool.uses_processes:
-            return out_r.copy(), out_s.copy()
-        return out_r, out_s
+    return KeyGroupIndex(r_keys, r_payloads).expand(s_keys, s_payloads, skip)
 
 
 def per_key_match_counts(

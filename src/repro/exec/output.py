@@ -16,6 +16,8 @@ maintaining two order-independent summaries used for correctness checks:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import ConfigError
@@ -67,24 +69,32 @@ class JoinOutputBuffer:
             total += int(np.sum(scratch, dtype=np.uint64))
         return total & _U64_MASK
 
-    def write_pairs(self, r_payloads: np.ndarray, s_payloads: np.ndarray) -> int:
+    def write_pairs(self, r_payloads: np.ndarray, s_payloads: np.ndarray,
+                    total: Optional[int] = None,
+                    checksum: Optional[int] = None) -> int:
         """Append matched pairs; returns the number of tuples written.
 
         ``r_payloads`` and ``s_payloads`` must be equal-length 1-D arrays:
         element ``i`` of each forms one output tuple.
+
+        With ``total`` and ``checksum`` the write is in closed form: they
+        summarize a write of ``total`` pairs, and the arrays hold only its
+        last pairs.  The cursor advances past the ``total - len(r_payloads)``
+        pairs that were never materialized, then the tail is stored, so the
+        ring ends up as if every pair had been written.  A caller that
+        passes at most ``capacity`` tail pairs pays O(min(output,
+        capacity)) for the write, whatever the output size.
         """
         r_payloads = np.asarray(r_payloads, dtype=np.uint32)
         s_payloads = np.asarray(s_payloads, dtype=np.uint32)
         if r_payloads.shape != s_payloads.shape or r_payloads.ndim != 1:
             raise ValueError("payload arrays must be 1-D and of equal length")
-        n = int(r_payloads.size)
-        if n == 0:
-            return 0
-        partial = self._pairs_checksum(r_payloads, s_payloads)
-        self.checksum = (self.checksum + partial) & _U64_MASK
-        self.count += n
-        self._store(r_payloads, s_payloads)
-        return n
+        if (total is None) != (checksum is None):
+            raise ValueError("total and checksum must be given together")
+        if total is None:
+            total = int(r_payloads.size)
+            checksum = self._pairs_checksum(r_payloads, s_payloads)
+        return self._append(r_payloads, s_payloads, total, checksum)
 
     def write_cartesian(self, r_payloads: np.ndarray, s_payloads: np.ndarray) -> int:
         """Append the full cartesian product R x S of matched payloads.
@@ -93,6 +103,9 @@ class JoinOutputBuffer:
         computed in closed form, and only the *tail* of the product (the
         last ``capacity`` pairs in row-major order) is materialized into the
         ring, which is all that overwrite-on-full semantics can retain.
+        Beyond summing the inputs, a write costs O(min(output, capacity)):
+        the tail is cut from the at most ``ceil(keep / ns) + 1`` rows it
+        touches.
         """
         r_payloads = np.asarray(r_payloads, dtype=np.uint32).ravel()
         s_payloads = np.asarray(s_payloads, dtype=np.uint32).ravel()
@@ -100,52 +113,43 @@ class JoinOutputBuffer:
         total = nr * ns
         if total == 0:
             return 0
-        sum_r = int(np.sum(r_payloads.astype(np.uint64), dtype=np.uint64))
-        sum_s = int(np.sum(s_payloads.astype(np.uint64), dtype=np.uint64))
-        self.checksum = (self.checksum + sum_r * sum_s) & _U64_MASK
-        self.count += total
+        sum_r = int(np.sum(r_payloads, dtype=np.uint64))
+        sum_s = int(np.sum(s_payloads, dtype=np.uint64))
         keep = min(total, self.capacity)
         # Row-major tail: the last `keep` pairs of
-        # [(r_0,s_0),...,(r_0,s_{ns-1}),(r_1,s_0),...].
-        flat_start = total - keep
-        idx = np.arange(flat_start, total)
-        tail_r = r_payloads[idx // ns]
-        tail_s = s_payloads[idx % ns]
-        if keep < total:
-            # The ring position advances by `total` writes overall.
-            skipped = total - keep
-            self._pos = (self._pos + skipped) % self.capacity
-        self._store(tail_r, tail_s)
-        return total
+        # [(r_0,s_0),...,(r_0,s_{ns-1}),(r_1,s_0),...] are the end of row
+        # `row` from column `col`, then every later row in full.
+        row, col = divmod(total - keep, ns)
+        head = ns - col
+        tail_r = np.empty(keep, dtype=np.uint32)
+        tail_r[:head] = r_payloads[row]
+        tail_r[head:] = np.repeat(r_payloads[row + 1:], ns)
+        tail_s = np.concatenate((s_payloads[col:],
+                                 np.tile(s_payloads, nr - row - 1)))
+        return self._append(tail_r, tail_s, total, sum_r * sum_s)
 
-    def _store(self, r_payloads: np.ndarray, s_payloads: np.ndarray) -> None:
-        n = int(r_payloads.size)
-        if n >= self.capacity:
-            # Only the final `capacity` tuples survive a wrapping write.
-            tail_r = r_payloads[n - self.capacity:]
-            tail_s = s_payloads[n - self.capacity:]
-            # After writing n tuples starting at _pos, the cursor lands at
-            # (_pos + n) % capacity; the surviving tuples are laid out so
-            # that the oldest surviving tuple sits at the cursor.
-            end = (self._pos + n) % self.capacity
-            order = (np.arange(self.capacity) + end) % self.capacity
-            self._r[order] = tail_r
-            self._s[order] = tail_s
-            self._pos = end
-            return
-        end = self._pos + n
-        if end <= self.capacity:
-            self._r[self._pos:end] = r_payloads
-            self._s[self._pos:end] = s_payloads
-            self._pos = end % self.capacity
-        else:
-            first = self.capacity - self._pos
-            self._r[self._pos:] = r_payloads[:first]
-            self._s[self._pos:] = s_payloads[:first]
-            rest = n - first
-            self._r[:rest] = r_payloads[first:]
-            self._s[:rest] = s_payloads[first:]
-            self._pos = rest
+    def _append(self, tail_r: np.ndarray, tail_s: np.ndarray, total: int,
+                checksum: int) -> int:
+        """Fold in a ``total``-pair write whose last pairs are the tail."""
+        if total == 0:
+            return 0
+        self.checksum = (self.checksum + checksum) & _U64_MASK
+        self.count += total
+        # Only the last `capacity` pairs survive; the cursor moves past
+        # every pair before them, built or not.
+        keep = min(int(tail_r.size), self.capacity)
+        cut = tail_r.size - keep
+        tail_r, tail_s = tail_r[cut:], tail_s[cut:]
+        pos = (self._pos + total - keep) % self.capacity
+        # At most two slice copies: up to the ring's end, then from its
+        # start.
+        first = min(keep, self.capacity - pos)
+        self._r[pos:pos + first] = tail_r[:first]
+        self._s[pos:pos + first] = tail_s[:first]
+        self._r[:keep - first] = tail_r[first:]
+        self._s[:keep - first] = tail_s[first:]
+        self._pos = (pos + keep) % self.capacity
+        return total
 
     def snapshot(self) -> np.ndarray:
         """Return the retained tuples as an ``(n, 2)`` array (for tests)."""

@@ -113,59 +113,6 @@ def match_stats(
     return total, checksum
 
 
-def expand_count(
-    group_keys: ArrayRef, group_count: ArrayRef, s_keys: ArrayRef,
-    a: int, b: int,
-) -> int:
-    """Output pairs one S morsel will produce (round 1 of expansion)."""
-    if b <= a:
-        return 0
-    with attached(group_keys, group_count, s_keys) as (gk, gc, sk):
-        seg_keys = sk[a:b]
-        if gk.size == 0:
-            return 0
-        pos = np.searchsorted(gk, seg_keys)
-        pos = np.minimum(pos, gk.size - 1)
-        hit = gk[pos] == seg_keys
-        return int(gc[pos][hit].sum())
-
-
-def expand_write(
-    group_keys: ArrayRef, group_start: ArrayRef, group_count: ArrayRef,
-    r_pays_sorted: ArrayRef, s_keys: ArrayRef, s_payloads: ArrayRef,
-    out_r: ArrayRef, out_s: ArrayRef, a: int, b: int, offset: int,
-) -> None:
-    """Write one S morsel's expanded pairs at its prefix-sum offset.
-
-    Pair order within the morsel matches the vector expansion: by S tuple,
-    then by R insertion order within the key (``r_pays_sorted`` is the
-    stable key-sorted payload array, so ``group_start + within`` walks R
-    tuples of a key in insertion order).
-    """
-    if b <= a:
-        return None
-    with attached(group_keys, group_start, group_count, r_pays_sorted,
-                  s_keys, s_payloads, out_r, out_s) as (
-            gk, gs, gc, rp, sk, sp, o_r, o_s):
-        seg_keys = sk[a:b]
-        if gk.size == 0:
-            return None
-        pos = np.searchsorted(gk, seg_keys)
-        pos = np.minimum(pos, gk.size - 1)
-        hit = gk[pos] == seg_keys
-        cnt_per_s = np.where(hit, gc[pos], 0)
-        total = int(cnt_per_s.sum())
-        if total == 0:
-            return None
-        s_rep = np.repeat(np.arange(a, b), cnt_per_s)
-        run_origin = np.repeat(np.cumsum(cnt_per_s) - cnt_per_s, cnt_per_s)
-        within = np.arange(total) - run_origin
-        r_idx = np.repeat(np.where(hit, gs[pos], 0), cnt_per_s) + within
-        o_r[offset:offset + total] = rp[r_idx]
-        o_s[offset:offset + total] = sp[s_rep]
-    return None
-
-
 #: Name -> callable registry; tasks name their kernel so only small,
 #: picklable payloads ever cross the queue.
 KERNELS: Dict[str, object] = {
@@ -174,8 +121,6 @@ KERNELS: Dict[str, object] = {
     "partition_scatter": partition_scatter,
     "refine_chunk": refine_chunk,
     "match_stats": match_stats,
-    "expand_count": expand_count,
-    "expand_write": expand_write,
 }
 
 

@@ -10,7 +10,6 @@ from repro.cpu.chained_table import ChainedHashTable
 from repro.data.zipf import ZipfWorkload
 from repro.exec.backend import use_backend
 from repro.exec.matching import (
-    MATERIALIZE_LIMIT,
     KeyGroupIndex,
     _expand_pairs_scalar,
     _match_group_stats_scalar,
@@ -83,9 +82,10 @@ def test_duplicates_only_sides_form_one_group():
     assert s_out.tolist() == [7] * 5 + [9] * 5
 
 
-def test_totals_above_the_materialize_limit_emit_the_summary_only():
-    n = 1 << 11  # n * n pairs > MATERIALIZE_LIMIT
-    assert n * n > MATERIALIZE_LIMIT
+def test_totals_above_the_old_materialize_limit_fill_the_ring():
+    # 2**22 pairs, twice the 2**21 above which an earlier emit stored
+    # no pairs at all: the ring must hold what overwrite-on-full leaves.
+    n = 1 << 11
     rk = np.full(n, MAX_KEY, dtype=np.uint32)
     rp = np.arange(n, dtype=np.uint32)
     sk = np.full(n, MAX_KEY, dtype=np.uint32)
@@ -95,7 +95,10 @@ def test_totals_above_the_materialize_limit_emit_the_summary_only():
     want = _match_group_stats_scalar(rk, rp, sk, sp)
     assert (summary.count, summary.checksum) == want
     assert (buf.count, buf.checksum) == want
-    assert not buf.snapshot().any()  # no pair was written to the ring
+    full = JoinOutputBuffer(16)
+    full.write_pairs(*_expand_pairs_scalar(rk, rp, sk, sp))
+    assert np.array_equal(buf.snapshot(), full.snapshot())
+    assert buf.snapshot().tolist() == [[r, MAX_KEY] for r in range(2032, 2048)]
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), u32), max_size=80),

@@ -88,15 +88,20 @@ def test_per_key_match_counts_empty():
     ).tolist() == [0]
 
 
-def test_emit_matches_large_group_uses_summary_only():
-    """Beyond MATERIALIZE_LIMIT the ring gets no pairs but exact totals."""
-    n = 1 << 11  # n*n = 4M pairs > MATERIALIZE_LIMIT (2M)
+def test_emit_matches_large_group_fills_the_ring():
+    """Above 2**21 pairs (an earlier summary-only cut-off) the ring holds
+    the last pairs, exactly as if the whole expansion had been written."""
+    n = 1 << 11  # n*n = 4M pairs
     rk = np.zeros(n, dtype=np.uint32)
-    rp = np.ones(n, dtype=np.uint32)
+    rp = np.arange(n, dtype=np.uint32)
     sk = np.zeros(n, dtype=np.uint32)
     sp = np.full(n, 2, dtype=np.uint32)
     buf = JoinOutputBuffer(16)
     summary = emit_matches(rk, rp, sk, sp, buf)
-    assert summary.count == n * n
-    assert summary.checksum == (n * n * 2) & U64
-    assert buf.count == n * n
+    checksum = (n * (n * (n - 1) // 2) * 2) & U64
+    assert (summary.count, summary.checksum) == (n * n, checksum)
+    assert (buf.count, buf.checksum) == (n * n, checksum)
+    full = JoinOutputBuffer(16)
+    full.write_pairs(np.tile(rp, n), np.repeat(sp, n))
+    assert np.array_equal(buf.snapshot(), full.snapshot())
+    assert buf.snapshot().tolist() == [[r, 2] for r in range(2032, 2048)]

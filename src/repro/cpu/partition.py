@@ -129,11 +129,13 @@ def _scatter_vector(
     keys: np.ndarray,
     payloads: np.ndarray,
     hashes: np.ndarray,
-    part_ids: np.ndarray,
-    fanout: int,
+    start_bit: int,
+    n_bits: int,
     segments: Sequence[Tuple[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batch scatter: bincount histograms + one fancy-index pass per thread."""
+    part_ids = radix_bits(hashes, start_bit, n_bits)
+    fanout = 1 << n_bits
     n_threads = len(segments)
     hist = np.zeros((n_threads, fanout), dtype=np.int64)
     for t, (a, b) in enumerate(segments):
@@ -160,13 +162,14 @@ def _scatter_scalar(
     keys: np.ndarray,
     payloads: np.ndarray,
     hashes: np.ndarray,
-    part_ids: np.ndarray,
-    fanout: int,
+    start_bit: int,
+    n_bits: int,
     segments: Sequence[Tuple[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Literal two-scan scatter: count loop, then tuple-at-a-time copies."""
+    fanout = 1 << n_bits
     n_threads = len(segments)
-    ids = part_ids.tolist()
+    ids = radix_bits(hashes, start_bit, n_bits).tolist()
     hist = np.zeros((n_threads, fanout), dtype=np.int64)
     for t, (a, b) in enumerate(segments):
         row = hist[t]
@@ -186,74 +189,84 @@ def _scatter_scalar(
     return keys_out, pays_out, hashes_out, offsets
 
 
+def _pool_task(arena, keys, payloads, hashes, start_bit, n_bits):
+    """Kernel kwargs shared by every morsel of one pool pass.
+
+    Inputs ship by ref — in place when they already live in the arena —
+    next to three fresh outputs the returned arrays keep leased.
+    Returns (task, (keys_out, pays_out, hashes_out)).
+    """
+    task = dict(keys=arena.ref(keys), payloads=arena.ref(payloads),
+                hashes=arena.ref(hashes), start_bit=start_bit, n_bits=n_bits)
+    outs = []
+    for name, dtype in (("keys_out", KEY_DTYPE), ("pays_out", PAYLOAD_DTYPE),
+                        ("hashes_out", np.uint32)):
+        view, task[name] = arena.empty(keys.size, dtype)
+        outs.append(view)
+    return task, outs
+
+
 def _scatter_parallel(
     keys: np.ndarray,
     payloads: np.ndarray,
     hashes: np.ndarray,
-    part_ids: np.ndarray,
-    fanout: int,
+    start_bit: int,
+    n_bits: int,
     segments: Sequence[Tuple[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The vector scatter with both scans fanned out over the worker pool.
+    """The vector scatter with its second scan fanned out over the pool.
 
-    The morsels are the *same* per-thread segments the simulated
-    ThreadPool prices, and the destination layout comes from the same
-    prefix-sum base matrix, so segment scatters are contention free and
-    the output arrays match ``_scatter_vector`` bit for bit.
+    Morsels are the pool's own contiguous slices, ``n_workers *
+    MORSELS_PER_WORKER`` of them, not the simulated segments (those keep
+    pricing the counters): for *any* contiguous segmentation the
+    partition-major, segment-minor layout is the stable order by
+    partition id, so the output matches ``_scatter_vector`` bit for bit.
+    The driver takes each morsel's histogram with one bincount; the
+    outputs stay in the arena, leased by the returned arrays.
     """
-    from repro.exec.parallel import SharedArena, morsel_pool
+    from repro.exec.parallel import MORSELS_PER_WORKER, SharedArena, morsel_pool
 
     pool = morsel_pool(keys.size)
     if pool is None:
-        return _scatter_vector(keys, payloads, hashes, part_ids, fanout,
+        return _scatter_vector(keys, payloads, hashes, start_bit, n_bits,
                                segments)
+    fanout = 1 << n_bits
+    morsels = split_segments(keys.size, pool.n_workers * MORSELS_PER_WORKER)
+    hist = np.stack([
+        np.bincount(radix_bits(hashes[a:b], start_bit, n_bits),
+                    minlength=fanout)
+        for (a, b) in morsels])
+    base = _partition_bases(hist)
+    offsets = np.zeros(fanout + 1, dtype=np.int64)
+    np.cumsum(hist.sum(axis=0), out=offsets[1:])
     with SharedArena(use_shm=pool.uses_processes) as arena:
-        ids_ref = arena.share(part_ids)
-        hist_rows = pool.run("partition_hist", [
-            dict(ids=ids_ref, a=a, b=b, fanout=fanout)
-            for (a, b) in segments
-        ])
-        hist = np.stack(hist_rows).astype(np.int64, copy=False)
-        base = _partition_bases(hist)
-        n = keys.size
-        offsets = np.zeros(fanout + 1, dtype=np.int64)
-        np.cumsum(hist.sum(axis=0), out=offsets[1:])
-        keys_ref = arena.share(keys)
-        pays_ref = arena.share(payloads)
-        hashes_ref = arena.share(hashes)
-        keys_out, keys_out_ref = arena.empty(n, KEY_DTYPE)
-        pays_out, pays_out_ref = arena.empty(n, PAYLOAD_DTYPE)
-        hashes_out, hashes_out_ref = arena.empty(n, np.uint32)
+        task, (keys_out, pays_out, hashes_out) = _pool_task(
+            arena, keys, payloads, hashes, start_bit, n_bits)
         pool.run("partition_scatter", [
-            dict(keys=keys_ref, payloads=pays_ref, hashes=hashes_ref,
-                 ids=ids_ref, keys_out=keys_out_ref, pays_out=pays_out_ref,
-                 hashes_out=hashes_out_ref, a=a, b=b,
-                 base_row=base[t], counts_row=hist[t])
-            for t, (a, b) in enumerate(segments) if b > a
+            dict(task, a=a, b=b, base_row=base[t], counts_row=hist[t])
+            for t, (a, b) in enumerate(morsels) if b > a
         ])
-        if pool.uses_processes:
-            # The views die with the arena; copy results out first.
-            return keys_out.copy(), pays_out.copy(), hashes_out.copy(), offsets
-        return keys_out, pays_out, hashes_out, offsets
+    return keys_out, pays_out, hashes_out, offsets
 
 
 def _scatter(
     keys: np.ndarray,
     payloads: np.ndarray,
     hashes: np.ndarray,
-    part_ids: np.ndarray,
-    fanout: int,
+    start_bit: int,
+    n_bits: int,
     segments: Sequence[Tuple[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Contention-free two-scan scatter, on the ambient backend.
 
+    Tuples go to partition ``radix_bits(hashes, start_bit, n_bits)``.
     Returns (keys_out, payloads_out, hashes_out, offsets).  The destination
     layout is partition-major, thread-minor, exactly like the per-thread
     output offsets Cbase computes from the first-scan histograms; all
     backends produce bit-identical arrays.
     """
     impl = dispatch(_scatter_scalar, _scatter_vector, _scatter_parallel)
-    return impl(keys, payloads, hashes, part_ids, fanout, segments)
+    return impl(keys, payloads, hashes, start_bit, n_bits, segments)
 
 
 def partition_pass(
@@ -267,12 +280,9 @@ def partition_pass(
     """One statically divided partitioning pass over a full relation."""
     if n_bits < 0:
         raise ConfigError("n_bits must be non-negative")
-    n = keys.size
-    fanout = 1 << n_bits
-    segments = split_segments(n, n_threads)
-    part_ids = radix_bits(hashes, start_bit, n_bits)
+    segments = split_segments(keys.size, n_threads)
     keys_out, pays_out, hashes_out, offsets = _scatter(
-        keys, payloads, hashes, part_ids, fanout, segments
+        keys, payloads, hashes, start_bit, n_bits, segments
     )
     per_thread = [_scan_counters(b - a) for (a, b) in segments]
     return PartitionPassResult(
@@ -318,17 +328,16 @@ def _refine_parallel(
     start_bit: int,
     n_bits: int,
     refine_mask: Optional[np.ndarray],
-    keys_out: np.ndarray,
-    pays_out: np.ndarray,
-    hashes_out: np.ndarray,
-) -> Optional[dict]:
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, dict]]:
     """Refine every selected partition on the worker pool.
 
     Morsels are chunks of consecutive refined partitions (each partition
     reorders only its own [lo, hi) span, so chunks are contention free).
-    Fills the caller's output arrays over the refined spans and returns
-    ``{p: sub_sizes}``; returns None when the pool is not engaged and the
-    caller should refine per partition on the vector path.
+    The parent's arrays ship by the refs their arena segments already
+    have when they are pool outputs themselves, and the outputs stay in
+    the arena.  Returns ``(keys_out, pays_out, hashes_out, {p:
+    sub_sizes})`` with the refined spans filled, or None when the pool
+    is not engaged and the caller should refine on the vector path.
     """
     from repro.exec.parallel import MORSELS_PER_WORKER, SharedArena, morsel_pool
 
@@ -337,49 +346,31 @@ def _refine_parallel(
     pool = morsel_pool(parent.n)
     if pool is None:
         return None
-    refined = [p for p in range(parent.fanout)
-               if refine_mask is None or refine_mask[p]]
-    if not refined:
-        return {}
-    sub_fanout = 1 << n_bits
-    ids = radix_bits(parent.hashes, start_bit, n_bits)
     spans = [(p, int(parent.offsets[p]), int(parent.offsets[p + 1]))
-             for p in refined]
+             for p in range(parent.fanout)
+             if refine_mask is None or refine_mask[p]]
     target = max(parent.n // max(pool.n_workers * MORSELS_PER_WORKER, 1), 1)
-    chunks: List[List[Tuple[int, int, int]]] = [[]]
+    chunks: List[List[Tuple[int, int, int]]] = []
     chunk_tuples = 0
     for span in spans:
-        if chunks[-1] and chunk_tuples >= target:
+        if not chunks or chunk_tuples >= target:
             chunks.append([])
             chunk_tuples = 0
         chunks[-1].append(span)
         chunk_tuples += span[2] - span[1]
     with SharedArena(use_shm=pool.uses_processes) as arena:
-        keys_ref = arena.share(parent.keys)
-        pays_ref = arena.share(parent.payloads)
-        hashes_ref = arena.share(parent.hashes)
-        ids_ref = arena.share(ids)
-        ko_view, ko_ref = arena.output_like(keys_out)
-        po_view, po_ref = arena.output_like(pays_out)
-        ho_view, ho_ref = arena.output_like(hashes_out)
+        task, (keys_out, pays_out, hashes_out) = _pool_task(
+            arena, parent.keys, parent.payloads, parent.hashes,
+            start_bit, n_bits)
         results = pool.run("refine_chunk", [
-            dict(keys=keys_ref, payloads=pays_ref, hashes=hashes_ref,
-                 ids=ids_ref, keys_out=ko_ref, pays_out=po_ref,
-                 hashes_out=ho_ref, sub_fanout=sub_fanout,
-                 bounds=[(lo, hi) for (_p, lo, hi) in chunk])
+            dict(task, bounds=[(lo, hi) for (_p, lo, hi) in chunk])
             for chunk in chunks
         ])
-        if pool.uses_processes:
-            for chunk in chunks:
-                for _p, lo, hi in chunk:
-                    keys_out[lo:hi] = ko_view[lo:hi]
-                    pays_out[lo:hi] = po_view[lo:hi]
-                    hashes_out[lo:hi] = ho_view[lo:hi]
     sub_sizes_by_p = {}
     for chunk, matrix in zip(chunks, results):
         for row, (p, _lo, _hi) in enumerate(chunk):
             sub_sizes_by_p[p] = matrix[row]
-    return sub_sizes_by_p
+    return keys_out, pays_out, hashes_out, sub_sizes_by_p
 
 
 def refine_pass(
@@ -400,15 +391,16 @@ def refine_pass(
     """
     sub_fanout = 1 << n_bits
     fanout = parent.fanout * sub_fanout
-    n = parent.n
-    keys_out = np.empty(n, dtype=KEY_DTYPE)
-    pays_out = np.empty(n, dtype=PAYLOAD_DTYPE)
-    hashes_out = np.empty(n, dtype=np.uint32)
     offsets = np.zeros(fanout + 1, dtype=np.int64)
     sizes = np.zeros(fanout, dtype=np.int64)
     task_counters: List[OpCounters] = []
-    parallel_sizes = _refine_parallel(parent, start_bit, n_bits, refine_mask,
-                                      keys_out, pays_out, hashes_out)
+    parallel = _refine_parallel(parent, start_bit, n_bits, refine_mask)
+    if parallel is not None:
+        keys_out, pays_out, hashes_out, parallel_sizes = parallel
+    else:
+        keys_out = np.empty(parent.n, dtype=KEY_DTYPE)
+        pays_out = np.empty(parent.n, dtype=PAYLOAD_DTYPE)
+        hashes_out = np.empty(parent.n, dtype=np.uint32)
     for p in range(parent.fanout):
         lo, hi = int(parent.offsets[p]), int(parent.offsets[p + 1])
         m = hi - lo
@@ -421,7 +413,7 @@ def refine_pass(
             hashes_out[lo:hi] = phash
             sizes[p * sub_fanout] = m
             continue
-        if parallel_sizes is not None:
+        if parallel is not None:
             sub_sizes = parallel_sizes[p]
         else:
             ids = radix_bits(phash, start_bit, n_bits)

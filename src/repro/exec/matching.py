@@ -200,8 +200,8 @@ def _match_group_stats_parallel(
         task = dict(r_uniq=arena.share(index.keys),
                     r_counts=arena.share(index.counts),
                     r_sums=arena.share(index.sums),
-                    s_keys=arena.share(s_keys),
-                    s_payloads=arena.share(s_payloads))
+                    s_keys=arena.ref(s_keys),
+                    s_payloads=arena.ref(s_payloads))
         results = pool.run("match_stats", [
             dict(task, a=a, b=b) for (a, b) in _s_morsels(s_keys.size, pool)
         ])

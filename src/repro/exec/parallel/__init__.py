@@ -2,17 +2,18 @@
 
 The third execution backend (``REPRO_BACKEND=parallel``): a persistent
 :class:`~repro.exec.parallel.pool.WorkerPool` of real processes computes
-the dominant vector phases — partition scatter/refine, chained-table
-build, match-group stats and pair expansion — over
-``multiprocessing.shared_memory`` arenas, one morsel at a time.
+the partition scatter, the partition refine and the match-group stats
+over pooled ``multiprocessing.shared_memory`` arenas, one morsel at a
+time.  Table build, probe and pair expansion stay in the driver.
 
 Division of labour:
 
-* the **driver** (the ordinary pipeline code) decomposes each phase into
-  the same per-thread segments and queue tasks the simulated
-  :class:`~repro.cpu.threads.ThreadPool` prices, performs all operation
-  accounting and fault injection, and merges morsel results with
-  order-independent or index-ordered reductions;
+* the **driver** (the ordinary pipeline code) prices each phase on the
+  same per-thread segments and queue tasks the simulated
+  :class:`~repro.cpu.threads.ThreadPool` uses, performs all operation
+  accounting and fault injection, cuts the pool's morsels
+  (``n_workers * MORSELS_PER_WORKER`` per phase) and merges morsel
+  results with order-independent or index-ordered reductions;
 * **workers** are pure compute (see :mod:`repro.exec.parallel.kernels`).
 
 That split is what makes the backend observationally identical to
@@ -47,8 +48,8 @@ from repro.exec.parallel.pool import (
     worker_count,
 )
 
-#: Morsels handed out per worker for internal (unpriced) fan-out, so the
-#: queue always holds spare morsels for early finishers to steal.
+#: Morsels handed out per worker (the pool's own, unpriced fan-out), so
+#: the queue always holds spare morsels for early finishers to steal.
 MORSELS_PER_WORKER = 2
 
 _warned_exhausted = False

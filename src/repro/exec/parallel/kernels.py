@@ -19,7 +19,9 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.parallel.arena import ArrayRef, attached
+from repro.cpu.hashing import radix_bits
+from repro.exec.parallel.arena import (ArrayRef, attached,
+                                        attachment_cache_size)
 
 
 def worker_identity() -> int:
@@ -27,32 +29,30 @@ def worker_identity() -> int:
     return os.getpid()
 
 
-def partition_hist(ids: ArrayRef, a: int, b: int, fanout: int) -> np.ndarray:
-    """First scan of one segment: the per-thread partition histogram."""
-    if b <= a:
-        return np.zeros(fanout, dtype=np.int64)
-    with attached(ids) as (ids_arr,):
-        return np.bincount(ids_arr[a:b], minlength=fanout)
+def worker_attachments() -> Tuple[int, int]:
+    """(pid, segments kept mapped) of the executing process (diagnostics)."""
+    return os.getpid(), attachment_cache_size()
 
 
 def partition_scatter(
-    keys: ArrayRef, payloads: ArrayRef, hashes: ArrayRef, ids: ArrayRef,
+    keys: ArrayRef, payloads: ArrayRef, hashes: ArrayRef,
     keys_out: ArrayRef, pays_out: ArrayRef, hashes_out: ArrayRef,
-    a: int, b: int, base_row: np.ndarray, counts_row: np.ndarray,
+    a: int, b: int, start_bit: int, n_bits: int,
+    base_row: np.ndarray, counts_row: np.ndarray,
 ) -> None:
-    """Second scan of one segment: the contention-free fancy-index scatter.
+    """Second scan of one morsel: the contention-free fancy-index scatter.
 
-    ``base_row``/``counts_row`` are this thread's rows of the prefix-sum
-    base matrix and histogram — small arrays shipped with the task, so the
-    destinations are disjoint across segments by construction.
+    Radix ids come from the morsel's hashes.  ``base_row``/``counts_row``
+    are this morsel's rows of the prefix-sum base matrix and histogram —
+    small arrays shipped with the task, so the destinations are disjoint
+    across morsels by construction.
     """
     if b <= a:
         return None
-    with attached(keys, payloads, hashes, ids,
-                  keys_out, pays_out, hashes_out) as (
-            k, p, h, i, ko, po, ho):
-        seg_ids = i[a:b]
-        order = np.argsort(seg_ids, kind="stable")
+    with attached(keys, payloads, hashes, keys_out, pays_out, hashes_out) as (
+            k, p, h, ko, po, ho):
+        order = np.argsort(radix_bits(h[a:b], start_bit, n_bits),
+                           kind="stable")
         run_start = np.repeat(base_row, counts_row)
         run_origin = np.repeat(np.cumsum(counts_row) - counts_row, counts_row)
         dest = run_start + (np.arange(b - a) - run_origin)
@@ -63,22 +63,22 @@ def partition_scatter(
 
 
 def refine_chunk(
-    keys: ArrayRef, payloads: ArrayRef, hashes: ArrayRef, ids: ArrayRef,
+    keys: ArrayRef, payloads: ArrayRef, hashes: ArrayRef,
     keys_out: ArrayRef, pays_out: ArrayRef, hashes_out: ArrayRef,
-    bounds: Sequence[Tuple[int, int]], sub_fanout: int,
+    bounds: Sequence[Tuple[int, int]], start_bit: int, n_bits: int,
 ) -> np.ndarray:
     """Refine a chunk of parent partitions, one stable argsort each.
 
     ``bounds`` holds each partition's [lo, hi) span; partitions only ever
     move tuples within their own span, so chunks are contention free.
-    Returns the (len(bounds), sub_fanout) sub-size matrix.
+    Returns the (len(bounds), 2**n_bits) sub-size matrix.
     """
+    sub_fanout = 1 << n_bits
     sub_sizes = np.empty((len(bounds), sub_fanout), dtype=np.int64)
-    with attached(keys, payloads, hashes, ids,
-                  keys_out, pays_out, hashes_out) as (
-            k, p, h, i, ko, po, ho):
+    with attached(keys, payloads, hashes, keys_out, pays_out, hashes_out) as (
+            k, p, h, ko, po, ho):
         for j, (lo, hi) in enumerate(bounds):
-            pid = i[lo:hi]
+            pid = radix_bits(h[lo:hi], start_bit, n_bits)
             order = np.argsort(pid, kind="stable")
             ko[lo:hi] = k[lo:hi][order]
             po[lo:hi] = p[lo:hi][order]
@@ -117,7 +117,7 @@ def match_stats(
 #: picklable payloads ever cross the queue.
 KERNELS: Dict[str, object] = {
     "worker_identity": worker_identity,
-    "partition_hist": partition_hist,
+    "worker_attachments": worker_attachments,
     "partition_scatter": partition_scatter,
     "refine_chunk": refine_chunk,
     "match_stats": match_stats,

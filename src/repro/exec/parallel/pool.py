@@ -24,10 +24,11 @@ and degrades: :func:`morsel_pool` then routes future phases to the
 vector path with a one-time warning, mirroring the GPU -> CPU fallback
 ladder.
 
-Determinism does not depend on the worker count: morsel decomposition is
-fixed by the driver (the same per-thread segments the simulated
-:class:`~repro.cpu.threads.ThreadPool` prices), and every merge the
-driver performs is order-independent or index-ordered.
+Determinism does not depend on the worker count: the driver cuts the
+morsels, every kernel's output is invariant to how a phase is cut into
+contiguous morsels (the simulated :class:`~repro.cpu.threads.ThreadPool`
+segments only price the counters), and every merge the driver performs
+is order-independent or index-ordered.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ExecutionError
 from repro.exec.cancel import checkpoint
-from repro.exec.parallel.arena import shared_memory_probe
+from repro.exec.parallel.arena import release_segments, shared_memory_probe
 
 #: Environment variable fixing the pool size (default: os.cpu_count()).
 WORKERS_ENV = "REPRO_WORKERS"
@@ -55,9 +56,11 @@ RESPAWNS_ENV = "REPRO_WORKER_RESPAWNS"
 #: enough that a crash-looping kernel degrades quickly.
 DEFAULT_MAX_RESPAWNS = 3
 
-#: Below this many tuples a phase stays on the inline vector path: queue
-#: and attach latency would dwarf the compute of a tiny morsel.
-DEFAULT_MIN_PARALLEL_TUPLES = 16384
+#: Below this many tuples a phase stays on the vector path.  With two
+#: workers on a 2-vCPU VM, ``partition_relation`` on the pool reaches
+#: parity with vector at 2^17 tuples and wins from 2^18 (the crossover
+#: table in docs/performance.md); smaller phases lose to queue latency.
+DEFAULT_MIN_PARALLEL_TUPLES = 1 << 17
 
 #: Seconds between liveness checks while draining results.
 _RESULT_POLL_SECONDS = 1.0
@@ -482,8 +485,10 @@ def current_liveness(heal: bool = False) -> Optional[Dict[str, object]]:
 
 
 def shutdown_pool() -> None:
-    """Tear down the process-wide pool (tests and interpreter exit)."""
+    """Tear down the process-wide pool and unlink every pooled arena
+    segment (tests and interpreter exit)."""
     global _pool
     if _pool is not None:
         _pool.shutdown()
         _pool = None
+    release_segments()

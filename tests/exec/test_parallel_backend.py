@@ -44,8 +44,7 @@ def test_inline_arena_carries_arrays_directly():
         ref = arena.share(data)
         assert ref.shm_name is None
         assert np.array_equal(ref.array, data)
-        out, out_ref = arena.output_like(data)
-        assert out is data  # worker writes land in the caller's array
+        assert arena.ref(data).array is data  # no copy, no segment
         view, empty_ref = arena.empty(4, np.int64)
         assert view.shape == (4,) and empty_ref.array is view
 
@@ -123,14 +122,39 @@ def test_shared_arena_ships_file_mapped_morsels_zero_copy(tmp_path):
 
 # ----------------------------------------------------------------- pool
 
+def _scatter_specs(arena, hashes, morsels, n_bits):
+    """partition_scatter tasks over ``morsels``, plus the output views."""
+    from repro.cpu.hashing import radix_bits
+    from repro.cpu.partition import _partition_bases
+
+    fanout = 1 << n_bits
+    ids = radix_bits(hashes, 0, n_bits)
+    hist = np.stack([np.bincount(ids[a:b], minlength=fanout)
+                     for (a, b) in morsels])
+    base = _partition_bases(hist)
+    n = hashes.size
+    outs = [arena.empty(n, np.uint32) for _ in range(3)]
+    task = dict(keys=arena.share(hashes + np.uint32(1)),
+                payloads=arena.share(hashes + np.uint32(2)),
+                hashes=arena.share(hashes), start_bit=0, n_bits=n_bits,
+                keys_out=outs[0][1], pays_out=outs[1][1],
+                hashes_out=outs[2][1])
+    specs = [dict(task, a=a, b=b, base_row=base[t], counts_row=hist[t])
+             for t, (a, b) in enumerate(morsels)]
+    return specs, [view for view, _ref in outs]
+
+
 def test_inline_pool_runs_kernels_in_process():
     pool = WorkerPool(1)
     assert not pool.uses_processes
+    hashes = np.array([2, 1, 0, 2, 1, 2], dtype=np.uint32)
     with SharedArena(use_shm=False) as arena:
-        ids = arena.share(np.array([0, 1, 1, 2, 2, 2], dtype=np.int64))
-        [hist] = pool.run("partition_hist",
-                          [{"ids": ids, "a": 0, "b": 6, "fanout": 4}])
-    assert hist.tolist() == [1, 2, 3, 0]
+        specs, (keys, pays, out) = _scatter_specs(arena, hashes,
+                                                  [(0, 3), (3, 6)], 2)
+        assert pool.run("partition_scatter", specs) == [None, None]
+    assert out.tolist() == [0, 1, 1, 2, 2, 2]
+    assert keys.tolist() == [1, 2, 2, 3, 3, 3]
+    assert pays.tolist() == [2, 3, 3, 4, 4, 4]
     pool.shutdown()  # no-op for inline pools
 
 
@@ -139,12 +163,12 @@ def test_process_pool_returns_results_in_task_order():
     pool = WorkerPool(2)
     try:
         assert pool.uses_processes
+        hashes = np.arange(8, dtype=np.uint32)[::-1] % 4
         with SharedArena(use_shm=True) as arena:
-            ids = arena.share(np.arange(8, dtype=np.int64) % 4)
-            specs = [{"ids": ids, "a": a, "b": a + 4, "fanout": 4}
-                     for a in (0, 4)]
-            results = pool.run("partition_hist", specs)
-        assert [r.tolist() for r in results] == [[1, 1, 1, 1], [1, 1, 1, 1]]
+            specs, (_keys, _pays, out) = _scatter_specs(
+                arena, hashes, [(0, 4), (4, 8)], 2)
+            assert pool.run("partition_scatter", specs) == [None, None]
+        assert out.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
         pids = set(pool.run("worker_identity", [{}, {}, {}, {}]))
         assert pids  # real child processes answered
     finally:
@@ -163,9 +187,10 @@ def test_worker_failure_raises_typed_execution_error():
 
 
 def test_run_kernel_dispatches_registry():
-    assert set(KERNELS) >= {"partition_hist", "partition_scatter",
-                            "refine_chunk", "match_stats"}
-    assert not {"expand_count", "expand_write"} & set(KERNELS)
+    assert set(KERNELS) >= {"partition_scatter", "refine_chunk",
+                            "match_stats", "worker_identity"}
+    assert not {"expand_count", "expand_write",
+                "partition_hist"} & set(KERNELS)
     assert isinstance(run_kernel("worker_identity", {}), int)
 
 
@@ -417,3 +442,188 @@ def test_current_liveness_heals_killed_workers(parallel_pool_env):
     assert live["alive"] == 2
     assert live["respawns"] == 1
     assert live["exhausted"] is False
+
+
+# ------------------------------------------------- segment recycling
+
+def _partition_input(n=4096, seed=7):
+    from repro.cpu.hashing import hash_keys
+
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 1 << 20, size=n, dtype=np.uint32)
+    pays = np.arange(n, dtype=np.uint32)
+    return keys, pays, hash_keys(keys)
+
+
+def _pass_arrays(result):
+    rel = result.partitioned
+    return rel.keys, rel.payloads, rel.hashes, rel.offsets
+
+
+def _assert_partition_matches_vector(keys, pays, hashes):
+    from repro.cpu.partition import partition_pass
+
+    with use_backend(VECTOR):
+        want = _pass_arrays(partition_pass(keys, pays, hashes, 0, 5, 20))
+    with use_backend(PARALLEL):
+        got = partition_pass(keys, pays, hashes, 0, 5, 20)
+    assert all(np.array_equal(a, b) for a, b in zip(_pass_arrays(got), want))
+    return got
+
+
+def _segment_exists(name):
+    import os
+    return os.path.exists(os.path.join("/dev/shm", name))
+
+
+def _break_scatter(monkeypatch):
+    """Make every scatter morsel fail in the worker (short base rows)."""
+    from repro.cpu import partition as partition_mod
+
+    bases = partition_mod._partition_bases
+    monkeypatch.setattr(partition_mod, "_partition_bases",
+                        lambda hist: bases(hist)[:, :-1])
+
+
+def _cancel_runs(monkeypatch):
+    """Cancel every pool run at its first result poll (tasks in flight)."""
+    from repro.errors import RequestCancelled
+    from repro.exec.parallel import pool as pool_module
+
+    def cancelled(**context):
+        raise RequestCancelled("request cancelled: test", **context)
+
+    monkeypatch.setattr(pool_module, "checkpoint", cancelled)
+
+
+@needs_shm
+@pytest.mark.parametrize("failure", [_break_scatter, _cancel_runs],
+                         ids=["kernel-error", "cancelled"])
+def test_failed_run_quarantines_its_segments(parallel_pool_env, monkeypatch,
+                                             failure):
+    from repro.cpu.partition import partition_pass
+    from repro.errors import ReproError
+    from repro.exec.parallel.arena import (free_segment_names,
+                                           pooled_segment_names)
+
+    keys, pays, hashes = _partition_input()
+    _assert_partition_matches_vector(keys, pays, hashes)  # warm the pool
+    warm = set(free_segment_names())
+    assert warm
+    with monkeypatch.context() as patch:
+        failure(patch)
+        with use_backend(PARALLEL), pytest.raises(ReproError):
+            partition_pass(keys, pays, hashes, 0, 5, 20)
+    # Every segment the failed run leased was unlinked, never recycled:
+    # a straggler morsel may still write into it.
+    leased = warm - set(free_segment_names())
+    assert leased
+    assert leased.isdisjoint(pooled_segment_names())
+    assert not any(_segment_exists(name) for name in leased)
+    _assert_partition_matches_vector(keys, pays, hashes)
+
+
+@needs_shm
+def test_worker_killed_mid_run_heals_bit_identical(parallel_pool_env,
+                                                   monkeypatch):
+    keys, pays, hashes = _partition_input()
+    pool = pool_mod.get_pool()
+    pool.poll_seconds = 0.05
+    run = WorkerPool.run
+
+    def run_after_kills(self, kernel, task_specs):
+        # Arena segments are leased and the refs built: kill the whole
+        # complement so the drain must heal and re-enqueue.
+        self.kill_worker(0)
+        self.kill_worker(1)
+        monkeypatch.setattr(WorkerPool, "run", run)
+        return run(self, kernel, task_specs)
+
+    monkeypatch.setattr(WorkerPool, "run", run_after_kills)
+    _assert_partition_matches_vector(keys, pays, hashes)
+    assert pool.respawns == 2 and not pool.exhausted
+
+
+@needs_shm
+def test_leased_output_stays_off_the_free_list_until_dropped(
+        parallel_pool_env):
+    import gc
+
+    from repro.exec.parallel.arena import free_segment_names, resident_ref
+
+    keys, pays, hashes = _partition_input()
+    result = _assert_partition_matches_vector(keys, pays, hashes)
+    out = result.partitioned.keys
+    name = resident_ref(out).shm_name
+    view = out[100:200]
+    assert resident_ref(view).shm_name == name
+    assert resident_ref(view).offset == 100 * out.itemsize
+    del result, out
+    gc.collect()
+    assert name not in free_segment_names()  # the slice still leases it
+    del view
+    gc.collect()
+    assert name in free_segment_names()
+
+
+@needs_shm
+def test_forked_child_never_recycles_its_parents_segments(parallel_pool_env):
+    import gc
+    import os
+
+    from repro.exec.parallel.arena import (pooled_segment_names,
+                                           release_segments, resident_ref)
+
+    keys, pays, hashes = _partition_input()
+    result = _assert_partition_matches_vector(keys, pays, hashes)
+    name = resident_ref(result.partitioned.keys).shm_name
+    want = result.partitioned.keys.copy()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports via its exit code
+        # Dropping the inherited output fires its finalizer here; the
+        # child owns no segment, so nothing may be recycled or unlinked.
+        del result
+        gc.collect()
+        release_segments()
+        os._exit(0 if pooled_segment_names() == [] else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert _segment_exists(name)
+    assert np.array_equal(result.partitioned.keys, want)
+
+
+# ------------------------------------------------------------ leaks
+
+@needs_shm
+def test_shutdown_pool_unlinks_every_arena_segment(parallel_pool_env):
+    from repro.exec.parallel.arena import pooled_segment_names
+
+    keys, pays, hashes = _partition_input()
+    kept = _assert_partition_matches_vector(keys, pays, hashes)
+    names = pooled_segment_names()
+    assert names and all(_segment_exists(name) for name in names)
+    want = kept.partitioned.keys.copy()
+    shutdown_pool()
+    assert pooled_segment_names() == []
+    assert not any(_segment_exists(name) for name in names)
+    # Outputs still alive at shutdown lose their names, not their bytes.
+    assert np.array_equal(kept.partitioned.keys, want)
+
+
+@needs_shm
+def test_workers_map_each_segment_once_across_runs(parallel_pool_env):
+    from repro.exec.parallel.arena import pooled_segment_names
+
+    keys, pays, hashes = _partition_input()
+    pool = pool_mod.get_pool()
+    seen = {}
+    names = None
+    for _ in range(4):
+        _assert_partition_matches_vector(keys, pays, hashes)
+        if names is None:
+            names = pooled_segment_names()
+        # Recycled, not recreated: the pool holds the same segments.
+        assert pooled_segment_names() == names
+        for pid, cached in pool.run("worker_attachments", [{}] * 8):
+            assert cached <= len(names)
+            seen.setdefault(pid, []).append(cached)
+    assert any(sizes[-1] > 0 for sizes in seen.values())

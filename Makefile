@@ -81,15 +81,16 @@ diff-backends:
 	REPRO_WORKERS=2 REPRO_PARALLEL_MIN_TUPLES=0 \
 		$(PYTHON) -m repro diff --tuples 11525 --algorithms gbase,gsh,cbase-npj
 
-# Planner regret gate over the diff grid (the CI gate): the pick must
-# land within 2x of the measured oracle on every dataset, and planned
-# output must be bit-identical to the same configuration forced by hand.
+# Planning-rule regret gate over the diff grid (the CI gate): the pick
+# must land within 2x of the measured oracle on every dataset whose
+# oracle clears the 50 ms floor (zipf-1.0 and uniform at this size), and
+# auto output must be bit-identical to the pick forced by hand.
 plan-gate:
 	REPRO_WORKERS=2 REPRO_PARALLEL_MIN_TUPLES=0 \
-		$(PYTHON) -m repro plan --gate --tuples 20000 --seed 42 \
+		$(PYTHON) -m repro plan --gate --tuples 131072 --seed 42 \
 		--out plan-artifacts
 
-# One planned end-to-end run: sketch, price candidates, execute argmin.
+# One planned end-to-end run: the rule's pick, stamped.
 run-auto:
 	$(PYTHON) -m repro run --auto --theta 1.0 --tuples 65536
 

@@ -46,16 +46,13 @@ Commands:
   build cache, and graceful SIGTERM drain.  ``--smoke`` runs the
   end-to-end serving scenario (daemon + client, overlapping requests,
   injected fault) in-process and exits — the serve-smoke CI job.
-  ``--planner auto`` lets the adaptive planner pick each request's
-  backend and learn from every answer.
-* ``plan``   — the adaptive planner's explain mode: sketch a workload,
-  print the full candidate table (every algorithm x backend x workers
-  point with its predicted cost), the constraints, and the chosen
-  point.  ``--execute`` runs the pick (bit-identical to forcing the
-  same configuration by hand) and learns from the realized walls;
-  ``--gate`` measures planner regret against the observed-best
-  candidate over the diff grid — the plan-gate CI job.  ``repro run
-  --auto`` is the one-shot form: plan, execute, learn.
+* ``plan``   — explain the planning rule's pick for a workload:
+  cbase-npj, or cbase when a memory budget is below the input
+  (:mod:`repro.plan`).  ``--gate`` runs every algorithm on vector and
+  parallel over the diff grid and fails when the rule's pick is over
+  2x the measured best or the auto run is not bit-identical to the
+  forced one — the plan-gate CI job.  ``repro run --auto`` runs the
+  pick.
 
 Examples::
 
@@ -81,11 +78,9 @@ Examples::
     python -m repro chaos --spill --seed 42 --artifact-dir chaos-art
     python -m repro serve --port 7654 --trace-out serve-trace.jsonl
     python -m repro serve --smoke --trace-out smoke-trace.jsonl
-    python -m repro serve --port 7654 --planner auto
     python -m repro diff --served --tuples 2048
-    python -m repro plan --theta 1.0 --tuples 65536
-    python -m repro plan --tuples 65536 --execute --json plan.json
-    python -m repro plan --gate --tuples 20000 --out plan-artifacts
+    python -m repro plan --tuples 65536
+    python -m repro plan --gate --tuples 131072 --out plan-artifacts
     python -m repro run --auto --theta 1.0 --tuples 262144
 """
 
@@ -129,7 +124,13 @@ from repro.faults.chaos import pipeline_source, run_checks
 from repro.faults.plan import DEFAULT_CHAOS_ALGORITHMS, SPILL_ALGORITHM_NAMES
 from repro.faults.report import verify_result_faults
 from repro.obs import render_trace, verify_result_trace
-from repro.plan import verify_result_plan
+from repro.plan import (
+    DEFAULT_GATE_TUPLES,
+    DEFAULT_REGRET_THRESHOLD,
+    choose,
+    run_plan_gate,
+    verify_result_plan,
+)
 from repro.serve.admission import AdmissionController, DEFAULT_MORSEL_TUPLES
 from repro.serve.cache import (
     DEFAULT_CACHE_ENTRIES,
@@ -184,13 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--all", action="store_true",
                        help="run every algorithm and compare")
     run_p.add_argument("--auto", action="store_true",
-                       help="let the adaptive planner choose the "
-                            "(algorithm, backend, workers) point; "
-                            "bit-identical to forcing the same "
-                            "configuration by hand, and the realized "
-                            "walls feed the planner's learned "
-                            "corrections (mutually exclusive with "
-                            "--algorithm/--backend/--all)")
+                       help="let the planning rule choose the algorithm "
+                            "(cbase-npj, or cbase under a memory budget "
+                            "below the input); bit-identical to forcing "
+                            "the pick by hand (not with --algorithm, "
+                            "--all, --analytic or --stream)")
     run_p.add_argument("--counters", action="store_true",
                        help="print the operation counters")
     run_p.add_argument("--analytic", action="store_true",
@@ -386,67 +385,32 @@ def build_parser() -> argparse.ArgumentParser:
                          help="zipf factor for --smoke (default 1.0)")
     serve_p.add_argument("--seed", type=int, default=42,
                          help="workload seed for --smoke (default 42)")
-    serve_p.add_argument("--planner", choices=("off", "auto"),
-                         default="off",
-                         help="'auto' lets the adaptive planner pick each "
-                              "request's backend from the npj cost model "
-                              "and learn serve-specific corrections from "
-                              "every answer; answers stay bit-identical "
-                              "(default off)")
 
     plan_p = sub.add_parser(
         "plan",
-        help="adaptive planner: explain candidate costs, execute the "
-             "pick, or gate planner regret (CI)")
+        help="explain the planning rule's pick, or gate its regret (CI)")
     plan_p.add_argument("--tuples", "-n", type=int, default=None,
-                        help="tuples per table (default 65536; 20000 "
-                             "with --gate)")
-    plan_p.add_argument("--theta", "-t", type=float, default=0.9,
-                        help="zipf factor (default 0.9)")
-    plan_p.add_argument("--seed", type=int, default=42)
+                        help="tuples per table (default 65536; "
+                             f"{DEFAULT_GATE_TUPLES} with --gate)")
+    plan_p.add_argument("--seed", type=int, default=42,
+                        help="dataset seed for --gate (default 42)")
     plan_p.add_argument("--load", metavar="FILE",
                         help="plan a saved .npz workload instead of "
                              "generating one")
-    plan_p.add_argument("--backends", type=str, default="",
-                        help="comma-separated backends to consider "
-                             "(default: all usable on this host)")
-    plan_p.add_argument("--algorithms", type=str, default="",
-                        help="comma-separated algorithms to consider "
-                             "(default: all)")
-    plan_p.add_argument("--max-workers", type=int, default=None,
-                        help="cap on the parallel worker ladder "
-                             "(default: the configured pool size)")
-    plan_p.add_argument("--memory-budget", type=int, metavar="BYTES",
-                        default=None,
-                        help="memory-budget constraint: inputs beyond it "
-                             "are only feasible on spill-capable "
-                             f"algorithms (default: ${MEMORY_BUDGET_ENV})")
-    plan_p.add_argument("--deadline-ms", type=float, default=None,
-                        help="deadline constraint: candidates predicted "
-                             "over this budget are marked infeasible")
-    plan_p.add_argument("--corrections", metavar="FILE",
-                        help="corrections file to load/learn "
-                             "(default: $REPRO_PLAN_CORRECTIONS)")
-    plan_p.add_argument("--learn", metavar="JSONL",
-                        help="fold a JSONL trace artifact's planned runs "
-                             "into the corrections before planning")
-    plan_p.add_argument("--execute", action="store_true",
-                        help="run the chosen point and learn from the "
-                             "realized walls")
-    plan_p.add_argument("--json", metavar="FILE", dest="json_out",
-                        help="also write the candidate table as JSON")
     plan_p.add_argument("--gate", action="store_true",
                         help="run the regret gate over the diff grid: "
-                             "measure every candidate, exit 1 if the "
-                             "pick exceeds --regret-threshold times the "
-                             "observed best, or if a planned run is not "
-                             "bit-identical to the forced configuration")
+                             "measure every algorithm on vector and "
+                             "parallel, exit 1 if the pick exceeds "
+                             "--regret-threshold times the observed "
+                             "best, or if an auto run is not "
+                             "bit-identical to the forced one")
     plan_p.add_argument("--gate-repeats", type=int, default=2,
                         help="measurement repeats per candidate in the "
                              "gate (default 2)")
-    plan_p.add_argument("--regret-threshold", type=float, default=2.0,
+    plan_p.add_argument("--regret-threshold", type=float,
+                        default=DEFAULT_REGRET_THRESHOLD,
                         help="regret factor the gate tolerates "
-                             "(default 2.0)")
+                             f"(default {DEFAULT_REGRET_THRESHOLD})")
     plan_p.add_argument("--out", metavar="DIR",
                         help="with --gate: write plan-candidates.json "
                              "and regret-report.json artifacts to DIR")
@@ -460,9 +424,14 @@ def _cmd_run(args) -> int:
         result = resume_run(args.resume)
         print(result_report(result, counters=args.counters))
         return 0
-    if args.auto:
-        return _cmd_run_auto(args)
-    if args.algorithm is None:
+    if args.auto and (args.algorithm is not None or args.all
+                      or args.analytic or args.stream):
+        print("error: --auto chooses the algorithm itself; drop "
+              "--algorithm/--all/--analytic/--stream (force the pick by "
+              "hand to compare — the answers are bit-identical)",
+              file=sys.stderr)
+        return 2
+    if args.algorithm is None and not args.auto:
         args.algorithm = "csh"
     if args.backend:
         with use_backend(args.backend):
@@ -501,6 +470,11 @@ def _cmd_run(args) -> int:
         verify_all(results.values(), join_input)
         print(comparison_report(list(results.values()), baseline="cbase"))
     else:
+        pick = None
+        if args.auto:
+            pick = choose(join_input, args.memory_budget)
+            args.algorithm = pick.algorithm
+            print(pick.render())
         with open_spill_session(
                 args.spill_dir, args.memory_budget,
                 strict=True if args.spill_strict else None) as session:
@@ -521,7 +495,8 @@ def _cmd_run(args) -> int:
                     "codec": session.store.codec,
                     "workload": workload_state,
                 })
-            result = make_join(args.algorithm).run(join_input)
+            result = (pick.run(join_input) if pick is not None
+                      else make_join(args.algorithm).run(join_input))
         print(result_report(result, counters=args.counters))
     return 0
 
@@ -554,49 +529,6 @@ def _cmd_run_stream(args) -> int:
     return 0
 
 
-def _cmd_run_auto(args) -> int:
-    """``repro run --auto``: plan, execute the argmin, learn."""
-    from repro.plan import Constraints, Planner
-
-    if args.algorithm is not None or args.backend or args.all:
-        print("error: --auto chooses the algorithm and backend itself; "
-              "drop --algorithm/--backend/--all (force a configuration "
-              "by hand to compare — the answers are bit-identical)",
-              file=sys.stderr)
-        return 2
-    if args.analytic or args.spill_dir or args.spill_strict:
-        print("error: --auto cannot be combined with --analytic or the "
-              "spill-session options", file=sys.stderr)
-        return 2
-    if args.load:
-        join_input = load_join_input(args.load)
-    else:
-        join_input = ZipfWorkload(args.tuples, args.tuples, args.theta,
-                                  seed=args.seed).generate()
-    if args.save:
-        save_join_input(join_input, args.save)
-        print(f"workload saved to {args.save}")
-    overrides = {}
-    if args.memory_budget is not None:
-        overrides["memory_budget_bytes"] = args.memory_budget
-    planner = Planner(constraints=Constraints.from_environment(**overrides))
-    plan = planner.plan(join_input)
-    if plan.chosen is None:
-        print(plan.render())
-        print("error: no feasible candidate under the constraints",
-              file=sys.stderr)
-        return 1
-    result = planner.execute(join_input, plan)
-    planner.learn(result)
-    meta = result.meta["plan"]
-    print(f"planned: {plan.chosen.point.label()} "
-          f"(predicted {meta['predicted_wall_seconds']:.4f}s wall, "
-          f"realized {meta['realized_wall_seconds']:.4f}s, "
-          f"{meta['feasible']}/{meta['candidates']} candidates feasible)")
-    print(result_report(result, counters=args.counters))
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
     algorithms = sorted(ALGORITHMS)
@@ -625,20 +557,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from repro.plan import (
-        Constraints,
-        CorrectionStore,
-        DEFAULT_GATE_TUPLES,
-        Planner,
-        corrections_path_from_env,
-        run_plan_gate,
-    )
-
-    backends = tuple(b.strip() for b in args.backends.split(",")
-                     if b.strip()) or None
-    if backends:
-        for backend in backends:
-            validate_backend(backend)
     if args.gate:
         report = run_plan_gate(
             n_tuples=(args.tuples if args.tuples is not None
@@ -646,7 +564,6 @@ def _cmd_plan(args) -> int:
             seed=args.seed,
             repeats=args.gate_repeats,
             threshold=args.regret_threshold,
-            **({"backends": backends} if backends else {}),
             out_dir=args.out,
         )
         print(report.render())
@@ -654,52 +571,17 @@ def _cmd_plan(args) -> int:
             print(f"artifacts written to {args.out}/plan-candidates.json "
                   f"and {args.out}/regret-report.json")
         return 0 if report.ok else 1
-
-    algorithms = tuple(a.strip() for a in args.algorithms.split(",")
-                       if a.strip()) or None
-    overrides = {
-        "backends": backends,
-        "algorithms": algorithms,
-        "max_workers": args.max_workers,
-        "deadline_ms": args.deadline_ms,
-    }
-    if args.memory_budget is not None:
-        overrides["memory_budget_bytes"] = args.memory_budget
-    corrections = CorrectionStore(
-        path=args.corrections if args.corrections
-        else corrections_path_from_env())
-    planner = Planner(corrections=corrections,
-                      constraints=Constraints.from_environment(**overrides))
-    if args.learn:
-        n = corrections.learn_from_jsonl(args.learn)
-        corrections.save()
-        print(f"learned {n} phase observation(s) from {args.learn}")
     if args.load:
         join_input = load_join_input(args.load)
     else:
+        # The rule reads only the input's size and the budget, so the
+        # generated workload's skew cannot change the pick.
         n_tuples = args.tuples if args.tuples is not None else 1 << 16
-        join_input = ZipfWorkload(n_tuples, n_tuples, args.theta,
+        join_input = ZipfWorkload(n_tuples, n_tuples, 0.0,
                                   seed=args.seed).generate()
-    plan = planner.plan(join_input)
-    print(plan.render())
-    if args.json_out:
-        import json
-        from pathlib import Path
-        out = Path(args.json_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(plan.to_dict(), indent=2,
-                                  sort_keys=True) + "\n", encoding="utf-8")
-        print(f"candidate table written to {out}")
-    if args.execute:
-        if plan.chosen is None:
-            print("error: cannot execute — no feasible candidate",
-                  file=sys.stderr)
-            return 1
-        result = planner.execute(join_input, plan)
-        planner.learn(result)
-        print()
-        print(result_report(result))
-    return 0 if plan.chosen is not None else 1
+    print(f"plan — {len(join_input.r)} x {len(join_input.s)} tuples")
+    print(choose(join_input).render())
+    return 0
 
 
 def _cmd_diff(args) -> int:
@@ -784,8 +666,8 @@ def _cmd_trace(args) -> int:
             return 1
         print(f"trace check OK: {len(results)} result(s), every phase sum "
               "matches its reported total, every fault report is "
-              "consistent with its trace counters, and every planned "
-              "result's prediction bookkeeping holds")
+              "consistent with its trace counters, and every plan stamp "
+              "names the algorithm that ran")
     return 0
 
 
@@ -821,13 +703,8 @@ def _cmd_serve(args) -> int:
                          trace_out=args.trace_out)
     import asyncio
 
-    planner = None
-    if args.planner == "auto":
-        from repro.plan import ServeProbePlanner
-        planner = ServeProbePlanner()
     engine = ServeEngine(
         cache_entries=args.cache_entries,
-        planner=planner,
         admission=AdmissionController(
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,

@@ -149,38 +149,3 @@ class GPUCostModel:
 #: Default models frozen after calibration against Table I.
 DEFAULT_CPU_COST_MODEL = CPUCostModel()
 DEFAULT_GPU_COST_MODEL = GPUCostModel()
-
-
-# ---------------------------------------------------------------------------
-# correction hooks (the adaptive planner's learning substrate)
-# ---------------------------------------------------------------------------
-
-#: Multiplicative correction factors are clamped to this range.  A factor
-#: outside it means the observation was degenerate (a microsecond phase
-#: timed against scheduler noise, a zero prediction), not that the model
-#: is off by three orders of magnitude.
-CORRECTION_CLAMP = (1e-3, 1e3)
-
-#: Default EWMA smoothing weight for newly observed wall/predicted ratios.
-DEFAULT_CORRECTION_ALPHA = 0.3
-
-
-def clamp_correction(factor: float) -> float:
-    """Clamp one correction factor into :data:`CORRECTION_CLAMP`."""
-    lo, hi = CORRECTION_CLAMP
-    return min(max(float(factor), lo), hi)
-
-
-def blend_correction(prior: float, observed_ratio: float,
-                     alpha: float = DEFAULT_CORRECTION_ALPHA) -> float:
-    """One EWMA step of a multiplicative correction factor.
-
-    ``prior`` is the current factor, ``observed_ratio`` the latest
-    realized-over-predicted wall ratio (predicted *before* correction).
-    The blend is clamped so a single noisy observation cannot blow the
-    factor out of :data:`CORRECTION_CLAMP`.
-    """
-    if not 0 < alpha <= 1:
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-    return clamp_correction(
-        (1.0 - alpha) * prior + alpha * clamp_correction(observed_ratio))

@@ -27,9 +27,9 @@ from repro.exec.result import JoinResult
 #: Meta keys allowed to differ between backends (the backend tag itself)
 #: and between spilled and in-RAM runs (how a run met its memory budget
 #: is environment, not answer — the join output must still be identical).
-#: ``plan`` is the planner's bookkeeping: how a configuration was chosen
-#: is environment too, and the plan-gate's bit-identity check relies on
-#: planned-vs-forced runs comparing clean.
+#: ``plan`` is the planning rule's stamp: how the algorithm was chosen is
+#: environment too, and the plan gate's bit-identity check relies on
+#: ``run --auto`` and the hand-forced pick comparing clean.
 _BACKEND_ONLY_META = frozenset({
     "backend",
     "plan",

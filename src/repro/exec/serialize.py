@@ -194,9 +194,9 @@ def _jsonable_meta(meta: Dict) -> Dict:
 def _jsonable_value(value):
     """Recursively coerce a meta value to plain JSON types.
 
-    Nested dicts (the planner's ``meta["plan"]`` bookkeeping) survive
-    structurally — the trace-history learner and ``trace --check`` read
-    them back from JSONL artifacts.  Anything unrecognized degrades to
+    Nested dicts (the planning rule's ``meta["plan"]`` stamp) survive
+    structurally — ``trace --check`` reads them back from JSONL
+    artifacts.  Anything unrecognized degrades to
     its string form rather than failing the export.
     """
     if isinstance(value, (str, int, float, bool)) or value is None:

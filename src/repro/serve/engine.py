@@ -43,7 +43,7 @@ from repro.errors import (
     RequestCancelled,
     ServeError,
 )
-from repro.exec.backend import current_backend, is_vector, use_backend
+from repro.exec.backend import current_backend, is_vector
 from repro.exec.cancel import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.exec.cost_model import CPUCostModel, DEFAULT_CPU_COST_MODEL
 from repro.exec.counters import OpCounters
@@ -133,7 +133,6 @@ class ServeEngine:
         n_threads: int = 20,
         circuit_threshold: int = DEFAULT_CIRCUIT_THRESHOLD,
         circuit_reset_seconds: float = DEFAULT_CIRCUIT_RESET_SECONDS,
-        planner=None,
     ):
         self.cache = BuildCache(
             max_entries=cache_entries,
@@ -147,11 +146,6 @@ class ServeEngine:
         # scheduled — so served simulated seconds compare directly with
         # one-shot cbase-npj runs.
         self.pool = ThreadPool(n_threads, cost_model)
-        #: ``planner: auto`` mode — a
-        #: :class:`~repro.plan.serve_hook.ServeProbePlanner` that picks
-        #: the backend per request and learns from every answer.  None
-        #: keeps the ambient backend (planner off), the default.
-        self.planner = planner
         #: Latest version's data per relation id (older versions are gone).
         self._relations: Dict[str, Relation] = {}
         self._latest: Dict[str, int] = {}
@@ -264,37 +258,6 @@ class ServeEngine:
         trace_id: str,
         emit: Optional[ChunkEmitter],
     ) -> ProbeOutcome:
-        key = (request.relation_id, version)
-        if self.planner is None:
-            return await self._probe_planned(
-                request, build_rel, version, morsel_tuples, n_morsels,
-                trace_id, emit, decision=None)
-        # ``planner: auto``: pick the backend for this request before any
-        # kernel runs; a cold key prices the build, a warm one only the
-        # probe.  The decision wraps the whole request so the backend tag
-        # and every kernel agree — exactly what a hand-forced backend
-        # env would do, so served answers stay bit-identical.
-        decision = self.planner.plan_probe(
-            build_rel, request.probe,
-            cold=self.cache.peek(key) is None)
-        with use_backend(decision.backend):
-            outcome = await self._probe_planned(
-                request, build_rel, version, morsel_tuples, n_morsels,
-                trace_id, emit, decision=decision)
-        self.planner.finish(outcome.result, decision)
-        return outcome
-
-    async def _probe_planned(
-        self,
-        request: ProbeRequest,
-        build_rel: Relation,
-        version: int,
-        morsel_tuples: int,
-        n_morsels: int,
-        trace_id: str,
-        emit: Optional[ChunkEmitter],
-        decision=None,
-    ) -> ProbeOutcome:
         probe_rel = request.probe
         key = (request.relation_id, version)
         tracer = Tracer(SERVE_ALGORITHM, algorithm=SERVE_ALGORITHM,
@@ -312,10 +275,6 @@ class ServeEngine:
                 fault_scope(SERVE_ALGORITHM, plan=request.faults) as faults:
             hit_counter = metrics.counter("serve.cache_hit")
             miss_counter = metrics.counter("serve.cache_miss")
-            if decision is not None:
-                metrics.counter("plan.requests").inc()
-                metrics.gauge("plan.predicted_wall_seconds").set(
-                    decision.predicted_wall_seconds)
             checkpoint(stage="admitted", trace_id=trace_id)
             entry, hit, shared = await self.cache.get_or_build(
                 key, lambda: self._build_entry(key, build_rel, result))
@@ -353,9 +312,6 @@ class ServeEngine:
             result.output_checksum = summary.checksum
             metrics.counter("join.output_tuples").inc(summary.count)
             metrics.gauge("serve.cache_entries").set(len(self.cache))
-            if decision is not None:
-                metrics.gauge("plan.realized_wall_seconds").set(
-                    result.wall_seconds)
             result.faults = faults.reports
         result.meta.update({
             "served": True,

@@ -11,9 +11,10 @@ paper baselines against.  Two probe implementations are provided:
   counts and output summary group-wise: every probe of bucket ``b`` walks
   ``len(chain(b))`` nodes and compares keys at each node, and the matches
   come from a :class:`~repro.exec.matching.KeyGroupIndex` of the entries
-  (one stable key sort, probed by binary search), which keeps Python-side
-  work near-linear even under heavy skew.  A caller that probes one table
-  many times builds the index once and passes it in.
+  (one sort by key hash plus a bucket directory, probed with the hashes
+  this probe already computed), which keeps Python-side work near-linear
+  even under heavy skew.  A caller that probes one table many times
+  builds the index once and passes it in.
 
 Only the chain walk reads the ``heads``/``next`` links, so the batch
 backends' :meth:`~ChainedHashTable.build` records just the bucket of each
@@ -239,7 +240,7 @@ class ChainedHashTable:
                 counters.random_accesses += steps + ns
         if index is None:
             index = KeyGroupIndex(self.keys, self.payloads)
-        summary = index.emit(s_keys, s_payloads, buffer)
+        summary = index.emit(s_keys, s_payloads, buffer, hashes=hashes)
         if counters is not None:
             counters.output_tuples += summary.count
             counters.bytes_written += 8 * summary.count

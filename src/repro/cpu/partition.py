@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.hashing import hash_keys, radix_bits
+from repro.cpu.hashing import hash_keys, radix_ids
 from repro.cpu.segments import split_segments
 from repro.errors import ConfigError
 from repro.exec.backend import dispatch
@@ -134,7 +134,7 @@ def _scatter_vector(
     segments: Sequence[Tuple[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batch scatter: bincount histograms + one fancy-index pass per thread."""
-    part_ids = radix_bits(hashes, start_bit, n_bits)
+    part_ids = radix_ids(hashes, start_bit, n_bits)
     fanout = 1 << n_bits
     n_threads = len(segments)
     hist = np.zeros((n_threads, fanout), dtype=np.int64)
@@ -169,7 +169,7 @@ def _scatter_scalar(
     """Literal two-scan scatter: count loop, then tuple-at-a-time copies."""
     fanout = 1 << n_bits
     n_threads = len(segments)
-    ids = radix_bits(hashes, start_bit, n_bits).tolist()
+    ids = radix_ids(hashes, start_bit, n_bits).tolist()
     hist = np.zeros((n_threads, fanout), dtype=np.int64)
     for t, (a, b) in enumerate(segments):
         row = hist[t]
@@ -233,7 +233,7 @@ def _scatter_parallel(
     fanout = 1 << n_bits
     morsels = split_segments(keys.size, pool.n_workers * MORSELS_PER_WORKER)
     hist = np.stack([
-        np.bincount(radix_bits(hashes[a:b], start_bit, n_bits),
+        np.bincount(radix_ids(hashes[a:b], start_bit, n_bits),
                     minlength=fanout)
         for (a, b) in morsels])
     base = _partition_bases(hist)
@@ -259,7 +259,7 @@ def _scatter(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Contention-free two-scan scatter, on the ambient backend.
 
-    Tuples go to partition ``radix_bits(hashes, start_bit, n_bits)``.
+    Tuples go to partition ``radix_ids(hashes, start_bit, n_bits)``.
     Returns (keys_out, payloads_out, hashes_out, offsets).  The destination
     layout is partition-major, thread-minor, exactly like the per-thread
     output offsets Cbase computes from the first-scan histograms; all
@@ -416,7 +416,7 @@ def refine_pass(
         if parallel is not None:
             sub_sizes = parallel_sizes[p]
         else:
-            ids = radix_bits(phash, start_bit, n_bits)
+            ids = radix_ids(phash, start_bit, n_bits)
             reorder = dispatch(_refine_one_scalar, _refine_one_vector)
             sub_sizes = reorder(pkeys, ppays, phash, ids, sub_fanout,
                                 keys_out, pays_out, hashes_out, lo)

@@ -7,9 +7,9 @@ identical renditions:
 
 * ``vector`` (the default) — NumPy batch evaluation: ``np.bincount``
   histograms, cumulative-sum bases, single-pass fancy-index scatters, and
-  group-wise sort/``searchsorted`` match expansion.  This is the fast path
-  that keeps the Python executors bandwidth-bound instead of
-  interpreter-bound.
+  matching through a hash-sorted key-group index and its bucket
+  directory.  This is the fast path that keeps the Python executors
+  bandwidth-bound instead of interpreter-bound.
 * ``scalar`` — a literal per-tuple Python rendition of the paper's
   algorithms (tuple-at-a-time scatter loops, chain walks in lockstep).
   It is the executable specification: slow, obvious, and used by the

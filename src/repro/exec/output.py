@@ -34,18 +34,22 @@ class JoinOutputBuffer:
     Tuples are (r_payload, s_payload) pairs of ``uint32``.  Writes wrap
     around and overwrite earlier output, exactly like the repeatedly
     overwritten per-thread buffers in the paper's experimental setup.
+    The ring allocates as it is written: a new ring holds no storage,
+    and its slots grow to ``min(count, capacity)``, so a join that
+    creates dozens of rings and fills few of them pays only for the
+    pairs it keeps.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ConfigError(f"output buffer capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self._r = np.zeros(self.capacity, dtype=np.uint32)
-        self._s = np.zeros(self.capacity, dtype=np.uint32)
+        self._r = np.zeros(0, dtype=np.uint32)
+        self._s = np.zeros(0, dtype=np.uint32)
         # Reused uint64 scratch for checksum products: write_pairs runs
         # once per probe task, and a fresh temporary per call was a
         # measurable share of its allocation traffic.
-        self._prod = np.empty(self.capacity, dtype=np.uint64)
+        self._prod = np.empty(0, dtype=np.uint64)
         self._pos = 0
         self.count = 0
         self.checksum = 0
@@ -54,12 +58,15 @@ class JoinOutputBuffer:
                         s_payloads: np.ndarray) -> int:
         """``sum(r * s) mod 2**64``, chunked through the scratch buffer.
 
-        Oversized writes stream through the capacity-sized scratch in
-        chunks; mod-2**64 addition is associative, so the chunked total
-        equals the single-temporary result exactly.
+        The scratch grows on use to at most ``capacity`` products, and
+        oversized writes stream through it in chunks; mod-2**64 addition
+        is associative, so the chunked total equals the single-temporary
+        result exactly.
         """
         n = int(r_payloads.size)
         chunk = self.capacity
+        if self._prod.size < min(n, chunk):
+            self._prod = np.empty(min(n, chunk), dtype=np.uint64)
         total = 0
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
@@ -141,6 +148,7 @@ class JoinOutputBuffer:
         cut = tail_r.size - keep
         tail_r, tail_s = tail_r[cut:], tail_s[cut:]
         pos = (self._pos + total - keep) % self.capacity
+        self._reserve(min(self.count, self.capacity))
         # At most two slice copies: up to the ring's end, then from its
         # start.
         first = min(keep, self.capacity - pos)
@@ -150,6 +158,24 @@ class JoinOutputBuffer:
         self._s[:keep - first] = tail_s[first:]
         self._pos = (pos + keep) % self.capacity
         return total
+
+    def _reserve(self, slots: int) -> None:
+        """Grow storage to hold ``slots`` slots, doubling up to capacity.
+
+        Slots past the old storage read as zero, as in a ring allocated
+        in full: a closed-form write may skip slots it never fills.
+        """
+        held = self._r.size
+        if slots <= held:
+            return
+        size = min(max(slots, 2 * held), self.capacity)
+
+        def grown(old: np.ndarray) -> np.ndarray:
+            new = np.zeros(size, dtype=np.uint32)
+            new[:held] = old
+            return new
+
+        self._r, self._s = grown(self._r), grown(self._s)
 
     def snapshot(self) -> np.ndarray:
         """Return the retained tuples as an ``(n, 2)`` array (for tests)."""

@@ -19,7 +19,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.hashing import radix_bits
+from repro.cpu.hashing import hash_keys, radix_ids
+from repro.exec.matching import group_stats, lookup_groups
 from repro.exec.parallel.arena import (ArrayRef, attached,
                                         attachment_cache_size)
 
@@ -51,7 +52,7 @@ def partition_scatter(
         return None
     with attached(keys, payloads, hashes, keys_out, pays_out, hashes_out) as (
             k, p, h, ko, po, ho):
-        order = np.argsort(radix_bits(h[a:b], start_bit, n_bits),
+        order = np.argsort(radix_ids(h[a:b], start_bit, n_bits),
                            kind="stable")
         run_start = np.repeat(base_row, counts_row)
         run_origin = np.repeat(np.cumsum(counts_row) - counts_row, counts_row)
@@ -78,7 +79,7 @@ def refine_chunk(
     with attached(keys, payloads, hashes, keys_out, pays_out, hashes_out) as (
             k, p, h, ko, po, ho):
         for j, (lo, hi) in enumerate(bounds):
-            pid = radix_bits(h[lo:hi], start_bit, n_bits)
+            pid = radix_ids(h[lo:hi], start_bit, n_bits)
             order = np.argsort(pid, kind="stable")
             ko[lo:hi] = k[lo:hi][order]
             po[lo:hi] = p[lo:hi][order]
@@ -88,29 +89,24 @@ def refine_chunk(
 
 
 def match_stats(
-    r_uniq: ArrayRef, r_counts: ArrayRef, r_sums: ArrayRef,
-    s_keys: ArrayRef, s_payloads: ArrayRef, a: int, b: int,
+    r_hashes: ArrayRef, r_directory: ArrayRef, r_bounds: ArrayRef,
+    r_sums: ArrayRef, s_keys: ArrayRef, s_payloads: ArrayRef, a: int, b: int,
 ) -> Tuple[int, int]:
     """Join (count, checksum mod 2**64) of one S morsel against the R index.
 
-    Checksum distributivity: summing ``r_sums[key] * s_payload`` per S
-    tuple equals the vector backend's per-key ``r_sums * s_sums`` products
+    The R arrays are a :class:`~repro.exec.matching.KeyGroupIndex`'s
+    group hashes, directory, bounds and payload sums; the morsel is
+    hashed here and probed with the index's own lookup.  Checksum
+    distributivity: summing ``r_sums[key] * s_payload`` per S tuple
+    equals the vector backend's per-key ``r_sums * s_sums`` products
     exactly, because multiplication distributes over addition mod 2**64.
     """
     if b <= a:
         return 0, 0
-    with attached(r_uniq, r_counts, r_sums, s_keys, s_payloads) as (
-            ru, rc, rs, sk, sp):
-        seg_keys = sk[a:b]
-        if ru.size == 0:
-            return 0, 0
-        pos = np.searchsorted(ru, seg_keys)
-        pos = np.minimum(pos, ru.size - 1)
-        hit = ru[pos] == seg_keys
-        total = int(rc[pos][hit].sum())
-        checksum = int(np.sum(rs[pos][hit] * sp[a:b][hit].astype(np.uint64),
-                              dtype=np.uint64))
-    return total, checksum
+    with attached(r_hashes, r_directory, r_bounds, r_sums, s_keys,
+                  s_payloads) as (rh, rd, rb, rs, sk, sp):
+        hits, groups = lookup_groups(rh, rd, hash_keys(sk[a:b]))
+        return group_stats(rb, rs, hits, groups, sp[a:b])
 
 
 #: Name -> callable registry; tasks name their kernel so only small,

@@ -425,10 +425,16 @@ class ServeEngine:
                     if key_index is None and is_vector():
                         key_index = KeyGroupIndex(table.keys, table.payloads)
                     buf = JoinOutputBuffer(self.output_capacity)
-                    return table.probe(
+                    summary = table.probe(
                         probe_rel.keys[a:b], probe_rel.payloads[a:b], buf,
                         counters=counters, random_access=True,
                         index=key_index)
+                    if b == n:
+                        # The index is the request's largest allocation:
+                        # free it inside the last task, so the cost is
+                        # timed with the task, not the request teardown.
+                        key_index = None
+                    return summary
 
                 outcome = run_task_with_recovery(
                     run, scope, points=("task",), morsel=index)
@@ -451,9 +457,11 @@ class ServeEngine:
                 chunks.append(chunk)
                 if emit is not None:
                     await emit(dict(chunk))
-                # One yield per morsel: concurrent requests interleave and
-                # streamed chunks reach clients incrementally.
-                await asyncio.sleep(0)
+                # One yield between morsels: concurrent requests
+                # interleave and streamed chunks reach clients
+                # incrementally.  After the last one the request is done.
+                if b < n:
+                    await asyncio.sleep(0)
         except (DeadlineExceeded, RequestCancelled) as exc:
             # Partial-progress counters: how far the request got before
             # the budget died (chunks already streamed stay valid).

@@ -11,6 +11,7 @@ from repro.cpu.hashing import (
     hash_keys,
     next_pow2,
     radix_bits,
+    radix_ids,
 )
 from repro.errors import ConfigError
 
@@ -53,6 +54,24 @@ def test_radix_bits_rejects_bad_range():
         radix_bits(h, 30, 4)
     with pytest.raises(ConfigError):
         radix_bits(h, -1, 2)
+
+
+@pytest.mark.parametrize("start_bit,n_bits,dtype", [
+    (0, 0, np.uint16), (0, 9, np.uint16), (16, 16, np.uint16),
+    (3, 17, np.uint32), (0, 32, np.uint32),
+])
+def test_radix_ids_are_radix_bits_in_the_narrowest_type(start_bit, n_bits,
+                                                        dtype):
+    # Ids of a pass up to 16 bits wide are uint16, which numpy's stable
+    # sort orders by counting sort; analytic pricing keeps radix_bits'
+    # int64 for its shifted pass-1 ids.
+    h = hash_keys(np.arange(5000, dtype=np.uint32))
+    ids = radix_ids(h, start_bit, n_bits)
+    assert ids.dtype == dtype
+    assert np.array_equal(ids, radix_bits(h, start_bit, n_bits))
+    assert radix_bits(h, start_bit, n_bits).dtype == np.int64
+    with pytest.raises(ConfigError):
+        radix_ids(h, 30, 4)
 
 
 def test_bucket_ids_use_top_bits():

@@ -1,5 +1,7 @@
-"""KeyGroupIndex: equivalence with the literal per-tuple matchers, the
-chained table's lazily derived links, and one index per cbase-npj join."""
+"""KeyGroupIndex: equivalence with the literal per-tuple matchers and a
+sorted-key reference lookup, the fmix32 bijection its hash compares rely
+on, the chained table's lazily derived links, and one index per
+cbase-npj join."""
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.api import make_join
 from repro.cpu.chained_table import ChainedHashTable
+from repro.cpu.hashing import bits_for, hash_key, hash_keys
 from repro.data.zipf import ZipfWorkload
 from repro.exec.backend import use_backend
 from repro.exec.matching import (
@@ -18,8 +21,33 @@ from repro.exec.output import JoinOutputBuffer
 
 MAX_KEY = (1 << 32) - 1
 
-#: A small key pool so groups repeat, with both ends of the uint32 range.
-keys = st.sampled_from([0, 1, 2, 7, 1 << 31, MAX_KEY])
+
+def _inverse_mod_2_32(c: int) -> np.uint32:
+    return np.uint32(pow(c, -1, 1 << 32))
+
+
+def unfmix32(hashes) -> np.ndarray:
+    """The inverse of fmix32: undo each step of the finalizer in reverse."""
+    h = np.asarray(hashes, dtype=np.uint32).copy()
+    h ^= h >> np.uint32(16)
+    h *= _inverse_mod_2_32(0xC2B2_AE35)
+    h ^= (h >> np.uint32(13)) ^ (h >> np.uint32(26))
+    h *= _inverse_mod_2_32(0x85EB_CA6B)
+    h ^= h >> np.uint32(16)
+    return h
+
+
+def key_of_hash(h: int) -> int:
+    return int(unfmix32([h])[0])
+
+
+#: Keys whose hashes share their top 12 bits: one directory bucket for
+#: any index of up to 4096 groups.
+CROWDED = [key_of_hash((0xABC << 20) | low) for low in (0, 1, 5, 0xFFFFF)]
+
+#: A small key pool so groups repeat, with both ends of the uint32 range
+#: and several distinct keys in one bucket.
+keys = st.sampled_from([0, 1, 2, 7, 1 << 31, MAX_KEY] + CROWDED)
 u32 = st.integers(0, MAX_KEY)
 side = st.lists(st.tuples(keys, u32), max_size=40)
 
@@ -55,6 +83,68 @@ def test_index_matches_the_scalar_matchers(r_pairs, s_pairs):
     assert np.array_equal(got_buf.snapshot(), want_buf.snapshot())
 
 
+@given(st.lists(st.integers(0, MAX_KEY), max_size=200))
+@settings(max_examples=100, deadline=None)
+@example([0, 1, MAX_KEY, 1 << 31])
+def test_fmix32_is_a_bijection(extra):
+    # KeyGroupIndex compares hashes, not keys: that is exact only because
+    # fmix32 has an inverse on uint32.
+    edge = [0, 1, MAX_KEY, 1 << 31, MAX_KEY - 1]
+    k = np.array(edge + extra, dtype=np.uint32)
+    assert np.array_equal(unfmix32(hash_keys(k)), k)
+    assert np.array_equal(hash_keys(unfmix32(k)), k)
+
+
+def reference_lookup(rk, sk):
+    """(matching S positions, their keys) by binary search over R's
+    sorted unique keys."""
+    uniq = np.unique(rk)
+    if uniq.size == 0 or sk.size == 0:
+        return [], []
+    pos = np.minimum(np.searchsorted(uniq, sk), uniq.size - 1)
+    hits = np.flatnonzero(uniq[pos] == sk)
+    return hits.tolist(), uniq[pos[hits]].tolist()
+
+
+#: A wider pool for lookups: both uint32 ends, the hashes 0 and 2**32-1,
+#: crowded buckets, and arbitrary keys.
+lookup_keys = st.one_of(
+    st.sampled_from([0, MAX_KEY, key_of_hash(0), key_of_hash(MAX_KEY)]
+                    + CROWDED),
+    st.integers(0, (1 << 20) - 1).map(
+        lambda low: key_of_hash((0x5 << 28) | low)),
+    u32,
+)
+
+
+@given(st.lists(lookup_keys, max_size=60), st.lists(lookup_keys, max_size=60))
+@settings(max_examples=200, deadline=None)
+@example([], [1, 2])
+@example([1, 2], [])
+@example([7] * 5, [7, 7, 8])
+@example([MAX_KEY] * 3, [0, MAX_KEY])
+@example(CROWDED * 2, CROWDED[::-1] + [0])
+def test_directory_lookup_equals_a_searchsorted_reference(r_keys, s_keys):
+    rk = np.array(r_keys, dtype=np.uint32)
+    sk = np.array(s_keys, dtype=np.uint32)
+    index = KeyGroupIndex(rk, np.arange(rk.size, dtype=np.uint32))
+    n_groups = np.unique(rk).size
+    assert index.hashes.size == n_groups
+    assert index.directory.size == (1 << bits_for(n_groups)) + 1
+    hits, groups = index._lookup(sk)
+    got_keys = unfmix32(index.hashes[groups]).tolist()
+    assert (hits.tolist(), got_keys) == reference_lookup(rk, sk)
+
+
+def test_one_group_index_has_a_one_bucket_directory():
+    index = KeyGroupIndex(np.full(4, MAX_KEY, np.uint32),
+                          np.arange(4, dtype=np.uint32))
+    assert index.directory.tolist() == [0, 1]
+    hits, groups = index._lookup(np.array([MAX_KEY, 0, MAX_KEY], np.uint32))
+    assert hits.tolist() == [0, 2]
+    assert groups.tolist() == [0, 0]
+
+
 @given(st.lists(st.tuples(keys, st.integers(1 << 63, (1 << 64) - 1)),
                 max_size=30),
        side)
@@ -72,7 +162,7 @@ def test_duplicates_only_sides_form_one_group():
     rk = np.full(5, 3, dtype=np.uint32)
     rp = np.arange(5, dtype=np.uint32)
     index = KeyGroupIndex(rk, rp)
-    assert index.keys.tolist() == [3]
+    assert index.hashes.tolist() == [hash_key(3)]
     assert index.bounds.tolist() == [0, 5]
     assert index.counts.tolist() == [5]
     assert index.sums.tolist() == [10]

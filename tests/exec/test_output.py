@@ -1,10 +1,15 @@
 """Tests for the ring output buffer and its closed-form checksums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ALGORITHMS, make_join
+from repro.data.zipf import ZipfWorkload
 from repro.errors import ConfigError
+from repro.exec.backend import use_backend
 from repro.exec.output import JoinOutputBuffer, OutputSummary, combine_summaries
 
 U64 = (1 << 64) - 1
@@ -161,3 +166,126 @@ def test_scratch_reuse_keeps_repeat_writes_exact():
         buf.write_pairs(a, a)
         expected = (expected + reference_checksum(a, a)) & U64
     assert buf.checksum == expected
+
+
+class EagerRing:
+    """The ring with all its storage up front: one zeroed slot per unit of
+    capacity, written one pair at a time.  A sized write's cursor first
+    skips the pairs it did not materialize, whose slots keep their old
+    contents (zero if never written); a write of no pairs is a no-op."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.slots = np.zeros((capacity, 2), dtype=np.uint32)
+        self.pos = self.count = self.checksum = 0
+
+    def write(self, pairs, total: int, checksum: int) -> None:
+        if total == 0:
+            return
+        self.pos = (self.pos + total - len(pairs)) % self.capacity
+        for pair in pairs:
+            self.slots[self.pos] = pair
+            self.pos = (self.pos + 1) % self.capacity
+        self.count += total
+        self.checksum = (self.checksum + checksum) & U64
+
+    def snapshot(self) -> np.ndarray:
+        n = min(self.count, self.capacity)
+        if n < self.capacity:
+            return self.slots[:n]
+        return np.roll(self.slots, -self.pos, axis=0)
+
+
+def ring_storage(buf: JoinOutputBuffer):
+    """Every array the ring holds."""
+    return [v for v in vars(buf).values() if isinstance(v, np.ndarray)]
+
+
+u32 = st.integers(0, 2**32 - 1)
+pair_lists = st.lists(st.tuples(u32, u32), max_size=90)
+ring_writes = st.lists(st.one_of(
+    st.tuples(st.just("pairs"), pair_lists),
+    st.tuples(st.just("sized"), pair_lists, st.integers(0, 100), u32),
+    st.tuples(st.just("cartesian"), st.lists(u32, max_size=12),
+              st.lists(u32, max_size=12)),
+), max_size=12)
+
+
+def apply_write(buf: JoinOutputBuffer, ref: EagerRing, write) -> None:
+    kind, *args = write
+    if kind == "cartesian":
+        r, s = args
+        pairs = [(a, b) for a in r for b in s]
+        buf.write_cartesian(np.array(r, np.uint32), np.array(s, np.uint32))
+        ref.write(pairs, len(pairs), sum(r) * sum(s))
+        return
+    pairs = args[0]
+    r = np.array([a for a, _ in pairs], np.uint32)
+    s = np.array([b for _, b in pairs], np.uint32)
+    if kind == "pairs":
+        buf.write_pairs(r, s)
+        ref.write(pairs, len(pairs), reference_checksum(r, s))
+    else:
+        skipped, checksum = args[1:]
+        total = len(pairs) + skipped
+        buf.write_pairs(r, s, total=total, checksum=checksum)
+        ref.write(pairs, total, checksum)
+
+
+@given(st.integers(1, 64), ring_writes)
+@settings(max_examples=150, deadline=None)
+def test_lazy_ring_equals_an_eagerly_allocated_ring(capacity, writes):
+    buf = JoinOutputBuffer(capacity)
+    ref = EagerRing(capacity)
+    assert all(a.size < capacity for a in ring_storage(buf))
+    for write in writes:
+        apply_write(buf, ref, write)
+        assert (buf.count, buf.checksum) == (ref.count, ref.checksum)
+        assert np.array_equal(buf.snapshot(), ref.snapshot())
+        # Storage covers the written slots and at most doubles them.
+        written = min(buf.count, capacity)
+        assert written <= buf._r.size <= capacity
+        assert buf._r.size == buf._s.size
+        assert buf._r.size == 0 or buf._r.size < 2 * written
+        assert buf._prod.size <= capacity
+
+
+@pytest.mark.parametrize("capacity,k", [(1, 0), (16, 1), (16, 8), (16, 15),
+                                        (65536, 100)])
+def test_ring_storage_stays_below_capacity_until_it_fills(capacity, k):
+    buf = JoinOutputBuffer(capacity)
+    assert all(a.size == 0 for a in ring_storage(buf))
+    pay = np.arange(k, dtype=np.uint32)
+    buf.write_pairs(pay, pay)
+    assert all(a.size < capacity for a in ring_storage(buf))
+    buf.write_pairs(np.arange(capacity, dtype=np.uint32),
+                    np.arange(capacity, dtype=np.uint32))
+    assert buf._r.size == buf._s.size == capacity
+
+
+#: Per-join allocation ceiling at 2**16 uniform tuples: rings allocated
+#: in full put 18-42 MiB here, rings that hold what they keep 3-5 MiB.
+JOIN_PEAK_LIMIT_MIB = 8
+
+
+@pytest.fixture(scope="module")
+def uniform_2_16():
+    return ZipfWorkload(1 << 16, 1 << 16, theta=0.0, seed=0).generate()
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_join_peak_allocation_stays_small(algorithm, uniform_2_16):
+    """tracemalloc peak of one join on the vector backend.  Unlike peak
+    RSS it does not depend on the allocator's state, so per-join buffers
+    allocated at full size show up deterministically."""
+    join = make_join(algorithm)
+    with use_backend("vector"):
+        join.run(uniform_2_16)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            join.run(uniform_2_16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= JOIN_PEAK_LIMIT_MIB * 2**20, (
+        f"{algorithm}: peak {peak / 2**20:.1f} MiB")

@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test lint trace-smoke chaos-smoke serve-smoke serve-chaos spill-chaos diff-served diff-spill diff-oocore bench bench-paper perf diff-backends plan-gate run-auto examples docs-check all
+.PHONY: install test lint loc trace-smoke chaos-smoke serve-smoke serve-chaos spill-chaos diff-served diff-spill diff-oocore bench bench-paper perf diff-backends plan-gate run-auto examples docs-check all
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -16,6 +16,10 @@ test:
 
 lint:
 	ruff check src tests benchmarks examples
+
+# The ROADMAP's size measure: lines of Python under src/.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 # One tiny traced run per algorithm, phase sums checked (the CI gate).
 trace-smoke:

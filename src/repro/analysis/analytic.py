@@ -276,8 +276,7 @@ def analytic_cbase(wl: AnalyticWorkload,
             grouped = _group_by_partition(pid, fanout, wl.cr, wl.cs)
             details["split_partitions"] = float(split_mask.sum())
 
-    phases = [PhaseResult("partition", seconds, counters,
-                          details=details)]
+    partition = PhaseResult("partition", seconds, counters, details=details)
 
     pairs = np.flatnonzero((grouped.r_sizes > 0) & (grouped.s_sizes > 0))
     task_counters = []
@@ -286,12 +285,12 @@ def analytic_cbase(wl: AnalyticWorkload,
         task_counters.append(
             _cbase_join_task(hashes[idx], wl.cr[idx], wl.cs[idx]))
     schedule = pool.queue_phase_seconds(task_counters)
-    phases.append(PhaseResult(
+    join = PhaseResult(
         "join", schedule.makespan, OpCounters.sum(task_counters),
         task_count=len(task_counters),
         details={"idle_fraction": schedule.idle_fraction},
-    ))
-    return _analytic_result("cbase", wl, phases, wl.output_count(),
+    )
+    return _analytic_result("cbase", wl, [partition, join], wl.output_count(),
                             bits_pass1=bits1, bits_pass2=bits2)
 
 
@@ -310,8 +309,8 @@ def analytic_npj(wl: AnalyticWorkload,
         bytes_read=8 * n_r, bytes_written=12 * n_r,
     )
     per_thread = NoPartitionJoin._split_counters(build, n_r, config.n_threads)
-    phases = [PhaseResult("build", pool.static_phase_seconds(per_thread),
-                          build)]
+    build_phase = PhaseResult("build", pool.static_phase_seconds(per_thread),
+                              build)
 
     hashes = hash_keys(wl.keys)
     bucket_bits = bits_for(next_pow2(max(n_r, 1)))
@@ -323,9 +322,10 @@ def analytic_npj(wl: AnalyticWorkload,
         output_tuples=outputs, bytes_written=8 * outputs,
     )
     per_thread = NoPartitionJoin._split_counters(probe, n_s, config.n_threads)
-    phases.append(PhaseResult("probe", pool.static_phase_seconds(per_thread),
-                              probe))
-    return _analytic_result("cbase-npj", wl, phases, outputs)
+    probe_phase = PhaseResult("probe", pool.static_phase_seconds(per_thread),
+                              probe)
+    return _analytic_result("cbase-npj", wl, [build_phase, probe_phase],
+                            outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +369,12 @@ def analytic_csh(wl: AnalyticWorkload,
         chain_steps=sample_size, seq_tuple_reads=sample_size,
         bytes_read=8 * sample_size,
     )
-    phases = [PhaseResult(
+    sample = PhaseResult(
         "sample",
         config.cost_model.seconds(sample_counters) / config.n_threads,
         sample_counters,
         details={"skewed_keys": float(skewed_keys.size)},
-    )]
+    )
 
     skew_mask = np.isin(wl.keys, skewed_keys)
     cr_skew = np.where(skew_mask, wl.cr, 0)
@@ -430,11 +430,11 @@ def analytic_csh(wl: AnalyticWorkload,
         tasks = [_scan_counters(int(m)) for m in sizes1]
         seconds += pool.queue_phase_seconds(tasks).makespan
         counters += OpCounters.sum(tasks)
-    phases.append(PhaseResult("partition", seconds, counters, details={
+    partition = PhaseResult("partition", seconds, counters, details={
         "skewed_r_tuples": float(cr_skew.sum()),
         "skewed_s_tuples": float(cs_skew.sum()),
         "skewed_output": float(fly),
-    }))
+    })
 
     # NM-join over normal keys only.
     fanout = 1 << (bits1 + bits2)
@@ -447,12 +447,12 @@ def analytic_csh(wl: AnalyticWorkload,
         task_counters.append(
             _cbase_join_task(hashes[idx], cr_norm[idx], cs_norm[idx]))
     schedule = pool.queue_phase_seconds(task_counters)
-    phases.append(PhaseResult(
+    nm_join = PhaseResult(
         "nm-join", schedule.makespan, OpCounters.sum(task_counters),
         task_count=len(task_counters),
-    ))
+    )
     return _analytic_result(
-        "csh", wl, phases, wl.output_count(),
+        "csh", wl, [sample, partition, nm_join], wl.output_count(),
         skewed_keys=int(skewed_keys.size),
         skewed_output=fly,
         bits_pass1=bits1, bits_pass2=bits2,
@@ -545,7 +545,7 @@ def analytic_gbase(wl: AnalyticWorkload,
     seconds = gbase_partition_cost(sim, wl.n_r, True, "r")
     seconds += gbase_partition_cost(sim, wl.n_s, True, "s")
     part_counters = OpCounters.sum(l.counters for l in sim.launches)
-    phases = [PhaseResult("partition", seconds, part_counters)]
+    partition = PhaseResult("partition", seconds, part_counters)
 
     hashes = hash_keys(wl.keys)
     pid = ((radix_bits(hashes, 0, bits1) << bits2)
@@ -574,9 +574,9 @@ def analytic_gbase(wl: AnalyticWorkload,
                 h, crp, csp, bucket_bits, device.threads_per_block,
                 frac=(remainder / n_r) if n_r and n_full else 1.0)))
     launch = sim.launch("gbase_join", work)
-    phases.append(PhaseResult("join", launch.seconds, launch.counters,
-                              task_count=launch.n_blocks))
-    return _analytic_result("gbase", wl, phases, wl.output_count(),
+    join = PhaseResult("join", launch.seconds, launch.counters,
+                       task_count=launch.n_blocks)
+    return _analytic_result("gbase", wl, [partition, join], wl.output_count(),
                             bits_pass1=bits1, bits_pass2=bits2,
                             join_blocks=launch.n_blocks,
                             device=device.name)
@@ -614,7 +614,7 @@ def analytic_gsh(wl: AnalyticWorkload,
             sizes1 = []
         seconds += gsh_partition_cost(sim, n, 1 << bits1, sizes1, label)
     part_counters = OpCounters.sum(l.counters for l in sim.launches)
-    phases = [PhaseResult("partition", seconds, part_counters)]
+    partition = PhaseResult("partition", seconds, part_counters)
 
     grouped = _group_by_partition(pid, fanout, wl.cr, wl.cs)
     threshold = config.large_threshold_tuples()
@@ -637,8 +637,8 @@ def analytic_gsh(wl: AnalyticWorkload,
         top = idx[np.argsort(totals, kind="stable")[::-1][:config.top_k]]
         skew_mask[top] = True
     launch = sim.launch("gsh_detect", detect_work)
-    phases.append(PhaseResult("detect", launch.seconds, launch.counters,
-                              details={"large_partitions": float(large.size)}))
+    detect = PhaseResult("detect", launch.seconds, launch.counters,
+                         details={"large_partitions": float(large.size)})
 
     # Split: both sides of each large partition rewritten.
     split_work: List[BlockWork] = []
@@ -654,8 +654,8 @@ def analytic_gsh(wl: AnalyticWorkload,
     launch = sim.launch("gsh_split", split_work)
     cr_norm = np.where(skew_mask, 0, wl.cr)
     cs_norm = np.where(skew_mask, 0, wl.cs)
-    phases.append(PhaseResult("split", launch.seconds, launch.counters,
-                              details={"skewed_keys": float(skew_mask.sum())}))
+    split = PhaseResult("split", launch.seconds, launch.counters,
+                        details={"skewed_keys": float(skew_mask.sum())})
 
     # NM-join: one block per normal pair.
     grouped_norm = _group_by_partition(pid, fanout, cr_norm, cs_norm)
@@ -669,8 +669,8 @@ def analytic_gsh(wl: AnalyticWorkload,
             hashes[idx], cr_norm[idx], cs_norm[idx], bucket_bits,
             device.threads_per_block)))
     launch = sim.launch("gsh_nm_join", nm_work)
-    phases.append(PhaseResult("nm-join", launch.seconds, launch.counters,
-                              task_count=launch.n_blocks))
+    nm_join = PhaseResult("nm-join", launch.seconds, launch.counters,
+                          task_count=launch.n_blocks)
 
     # Skew join: one block per skewed R tuple per key.
     skew_work = []
@@ -682,12 +682,13 @@ def analytic_gsh(wl: AnalyticWorkload,
             bytes_read=8 + 8 * n_s_k, bytes_written=8 * n_s_k,
         )))
     launch = sim.launch("gsh_skew_join", skew_work)
-    phases.append(PhaseResult("skew-join", launch.seconds, launch.counters,
-                              task_count=launch.n_blocks))
+    skew_join = PhaseResult("skew-join", launch.seconds, launch.counters,
+                            task_count=launch.n_blocks)
 
     skew_output = int(np.sum(wl.cr[skew_idx] * wl.cs[skew_idx]))
     return _analytic_result(
-        "gsh", wl, phases, wl.output_count(),
+        "gsh", wl, [partition, detect, split, nm_join, skew_join],
+        wl.output_count(),
         bits_pass1=bits1, bits_pass2=bits2,
         large_partitions=int(large.size),
         skewed_keys=int(skew_mask.sum()),

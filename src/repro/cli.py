@@ -38,8 +38,8 @@ Commands:
   fails.  ``--artifact-dir DIR`` writes the check ledger to
   ``DIR/chaos-checks.json`` in every mode.  A request the sweep cannot
   honour exits 2 up front: fewer tuples than the pipeline (8192) or
-  spill (4096) schedule needs, or a non-spilling algorithm with
-  ``--spill``.
+  spill (4096) schedule needs, an unknown algorithm, or a non-spilling
+  algorithm with ``--spill``.
 * ``serve``  — join-as-a-service daemon: NDJSON protocol over a local
   socket, hot LRU cache of built hash tables, admission control,
   streamed probe chunks, per-request deadlines, a circuit-breaking
@@ -53,6 +53,12 @@ Commands:
   2x the measured best or the auto run is not bit-identical to the
   forced one — the plan-gate CI job.  ``repro run --auto`` runs the
   pick.
+
+Every command refuses a request it cannot honour up front: a
+:class:`~repro.errors.ConfigError` or
+:class:`~repro.errors.WorkloadError` prints one ``error: ...`` line to
+stderr and exits 2.  Any other library error (a
+:class:`~repro.errors.ReproError`) prints the same one line and exits 1.
 
 Examples::
 
@@ -104,7 +110,7 @@ from repro.bench.tables import render_series
 from repro.data.io import load_join_input, save_join_input
 from repro.data.stream import stream_zipf_input
 from repro.data.zipf import ZipfWorkload
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, WorkloadError
 from repro.exec.backend import (
     BACKENDS,
     BACKEND_ENV,
@@ -531,6 +537,8 @@ def _cmd_run_stream(args) -> int:
 
 def _cmd_sweep(args) -> int:
     thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
+    if not thetas:
+        raise ConfigError(f"--thetas {args.thetas!r} names no zipf factor")
     algorithms = sorted(ALGORITHMS)
     series = {alg: {} for alg in algorithms}
     for theta in thetas:
@@ -592,15 +600,17 @@ def _cmd_diff(args) -> int:
         print("error: --served, --spill, and --oocore are mutually "
               "exclusive", file=sys.stderr)
         return 2
+    backends = [validate_backend(b) for b in args.backends.split(",")
+                if b.strip()]
     if args.served:
+        if backends:
+            raise ConfigError(
+                "--served diffs served against direct runs on the ambient "
+                f"backend; drop --backends (set {BACKEND_ENV} instead)")
         reports = served_differential(n=args.tuples, seed=args.seed,
                                       algorithms=algorithms)
         print(render_differential(reports))
         return 0 if all(r.ok for r in reports) else 1
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    if backends:
-        for backend in backends:
-            validate_backend(backend)
     if args.spill:
         reports = spill_differential(n=args.tuples, seed=args.seed,
                                      algorithms=algorithms,
@@ -613,6 +623,10 @@ def _cmd_diff(args) -> int:
                                       backends=tuple(backends) or BACKENDS)
         print(render_differential(reports))
         return 0 if all(r.ok for r in reports) else 1
+    if len(backends) == 1:
+        raise ConfigError(
+            f"the backend differential needs two or more backends to "
+            f"compare; got only {backends[0]!r}")
     reports = differential_matrix(n=args.tuples, seed=args.seed,
                                   algorithms=algorithms,
                                   backends=tuple(backends) or BACKENDS)
@@ -628,9 +642,6 @@ def _cmd_trace(args) -> int:
             results = results_from_jsonl_file(args.load, tolerant=True)
         except OSError as exc:
             print(f"error: cannot read {args.load}: {exc}", file=sys.stderr)
-            return 1
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
         join_input = ZipfWorkload(args.tuples, args.tuples, args.theta,
@@ -678,22 +689,18 @@ def _cmd_chaos(args) -> int:
         return 2
     algorithms = [a.strip() for a in (args.algorithms or "").split(",")
                   if a.strip()]
-    try:
-        if args.spill:
-            title, source = "spill chaos", spill_source(
-                args.tuples, args.theta, args.seed,
-                algorithms or SPILL_ALGORITHM_NAMES, args.artifact_dir)
-        elif args.serve:
-            title, source = "serve chaos", serve_source(
-                args.tuples, args.theta, args.seed, args.clients,
-                args.requests)
-        else:
-            title, source = "chaos sweep", pipeline_source(
-                args.tuples, args.theta, args.seed,
-                algorithms or DEFAULT_CHAOS_ALGORITHMS)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.spill:
+        title, source = "spill chaos", spill_source(
+            args.tuples, args.theta, args.seed,
+            algorithms or SPILL_ALGORITHM_NAMES, args.artifact_dir)
+    elif args.serve:
+        title, source = "serve chaos", serve_source(
+            args.tuples, args.theta, args.seed, args.clients,
+            args.requests)
+    else:
+        title, source = "chaos sweep", pipeline_source(
+            args.tuples, args.theta, args.seed,
+            algorithms or DEFAULT_CHAOS_ALGORITHMS)
     return run_checks(title, source, args.artifact_dir)
 
 
@@ -770,6 +777,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_plan(args)
     except BrokenPipeError:  # output truncated by a closed pipe (| head)
         return 0
+    except (ConfigError, WorkloadError) as exc:  # refused up front
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 2  # pragma: no cover - argparse enforces the choices
 
 

@@ -16,7 +16,6 @@ from repro.core.csh.detector import SkewDetection, detect_skewed_keys
 from repro.core.csh.checkup import SkewCheckupTable
 from repro.core.csh.hybrid_partition import partition_r_hybrid, partition_s_hybrid
 from repro.cpu.spacesaving import streaming_skew_detection
-from repro.exec.backend import current_backend
 from repro.exec.counters import OpCounters
 from repro.cpu.join_phase import join_partition_pairs
 from repro.cpu.partition import choose_radix_bits
@@ -28,9 +27,8 @@ from repro.exec.output import DEFAULT_CAPACITY
 from repro.exec.result import JoinResult
 from repro.faults.plan import CAPACITY_OVERFLOW
 from repro.faults.report import FailureReport, current_phase_name
-from repro.faults.scope import current_fault_scope, fault_scope
-from repro.obs.rss import peak_rss_bytes
-from repro.obs.trace import Tracer, activate
+from repro.faults.scope import current_fault_scope
+from repro.obs.trace import join_run
 from repro.store.spill import current_spill_session
 from repro.types import SeedLike
 
@@ -89,18 +87,10 @@ class CSHJoin:
         cfg = self.config
         r, s = join_input.r, join_input.s
         bits1, bits2 = cfg.resolve_bits(max(len(r), len(s)))
-        result = JoinResult(
-            algorithm=self.name, n_r=len(r), n_s=len(s),
-            output_count=0, output_checksum=0,
-            meta={"bits_pass1": bits1, "bits_pass2": bits2,
-                  "backend": current_backend()},
-        )
-        tracer = Tracer(self.name, algorithm=self.name,
-                        n_r=len(r), n_s=len(s))
-        metrics = tracer.metrics
-        with activate(tracer), fault_scope(self.name) as faults:
-            metrics.counter("join.tuples_scanned").inc(len(r) + len(s))
-
+        with join_run(self.name, join_input,
+                      meta={"bits_pass1": bits1, "bits_pass2": bits2}
+                      ) as (result, tracer, _):
+            metrics = tracer.metrics
             with tracer.span("sample", algo=self.name,
                              detector=cfg.detector) as span:
                 detection, detect_overhead = self._detect(r.keys)
@@ -116,7 +106,6 @@ class CSHJoin:
                     skewed_keys=float(detection.n_skewed),
                     sample_size=float(detection.sample_size),
                 )
-            result.phases.append(span.phase_result)
             result.meta["skewed_keys"] = detection.n_skewed
             metrics.counter("skew.keys_detected").inc(detection.n_skewed)
             metrics.counter("skew.tuples_sampled").inc(detection.sample_size)
@@ -136,7 +125,6 @@ class CSHJoin:
                     skewed_s_tuples=float(part_s.n_skewed_tuples),
                     skewed_output=float(part_s.summary.count),
                 )
-            result.phases.append(span.phase_result)
             result.meta["skewed_r_tuples"] = part_r.n_skewed_tuples
             result.meta["skewed_s_tuples"] = part_s.n_skewed_tuples
             result.meta["skewed_output"] = part_s.summary.count
@@ -149,13 +137,13 @@ class CSHJoin:
 
             # Out-of-core gate on the NM-join inputs (the skewed side is
             # joined on the fly during partitioning and never spills).
-            # Zero simulated seconds, and the span stays out of
-            # result.phases so the spilled run keeps the in-RAM phase
-            # structure exactly.
+            # Zero simulated seconds, and the span is no phase, so the
+            # spilled run keeps the in-RAM phase structure exactly.
             norm_r, norm_s = part_r.normal, part_s.normal
             spill = current_spill_session()
             if spill is not None:
-                with tracer.span("spill", algo=self.name) as span:
+                with tracer.span("spill", algo=self.name,
+                                 phase=False) as span:
                     norm_r, norm_s = spill.spill_pair(norm_r, norm_s,
                                                       label="nm-join")
                     span.finish(
@@ -174,21 +162,16 @@ class CSHJoin:
                     task_count=phase.task_count,
                     idle_fraction=phase.schedule.idle_fraction,
                 )
-            result.phases.append(span.phase_result)
             metrics.gauge("taskqueue.join_idle_fraction").set(
                 phase.schedule.idle_fraction
             )
 
-        result.output_count = part_s.summary.count + phase.summary.count
-        result.output_checksum = (
-            part_s.summary.checksum + phase.summary.checksum
-        ) & ((1 << 64) - 1)
-        if spill is not None:
-            spill.annotate(result)
-        metrics.counter("join.output_tuples").inc(result.output_count)
-        result.meta["peak_rss_bytes"] = peak_rss_bytes()
-        result.faults = faults.reports
-        result.trace = tracer.record()
+            result.output_count = part_s.summary.count + phase.summary.count
+            result.output_checksum = (
+                part_s.summary.checksum + phase.summary.checksum
+            ) & ((1 << 64) - 1)
+            if spill is not None:
+                spill.annotate(result)
         return result
 
     def _detect(self, r_keys):

@@ -29,21 +29,18 @@ from repro.core.gsh.skew_join import skew_join_phase
 from repro.core.gsh.split import split_large_partitions
 from repro.data.relation import JoinInput
 from repro.errors import CapacityError, ConfigError, UnrecoveredFaultError
-from repro.exec.backend import current_backend
 from repro.exec.output import DEFAULT_CAPACITY
 from repro.exec.result import JoinResult
 from repro.faults.plan import CAPACITY_OVERFLOW
-from repro.faults.recovery import append_partial_phases
 from repro.faults.report import FailureReport, current_phase_name
-from repro.faults.scope import current_fault_scope, fault_scope
+from repro.faults.scope import current_fault_scope
 from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.gbase.join_kernels import gbase_join_phase
 from repro.gpu.gbase.pipeline import run_cpu_fallback
 from repro.gpu.kernel import BlockWork
 from repro.gpu.partitioning import choose_gpu_bits, gsh_partition
 from repro.gpu.simulator import GPUSimulator, cost_model_for
-from repro.obs.rss import peak_rss_bytes
-from repro.obs.trace import Tracer, activate
+from repro.obs.trace import join_run
 from repro.types import SeedLike
 
 
@@ -104,19 +101,11 @@ class GSHJoin:
         sim = GPUSimulator(device=cfg.device,
                            cost_model=cost_model_for(cfg.device))
         bits1, bits2 = cfg.resolve_bits(max(len(r), len(s)))
-        result = JoinResult(
-            algorithm=self.name, n_r=len(r), n_s=len(s),
-            output_count=0, output_checksum=0,
-            meta={"bits_pass1": bits1, "bits_pass2": bits2,
-                  "device": cfg.device.name, "backend": current_backend()},
-        )
-
-        tracer = Tracer(self.name, algorithm=self.name,
-                        n_r=len(r), n_s=len(s), device=cfg.device.name)
-        metrics = tracer.metrics
-        with activate(tracer), fault_scope(self.name) as faults:
-            metrics.counter("join.tuples_scanned").inc(len(r) + len(s))
-
+        with join_run(self.name, join_input,
+                      meta={"bits_pass1": bits1, "bits_pass2": bits2,
+                            "device": cfg.device.name},
+                      device=cfg.device.name) as (result, tracer, faults):
+            metrics = tracer.metrics
             try:
                 with tracer.span("partition", algo=self.name) as span:
                     part_r = gsh_partition(r.keys, r.payloads, bits1, bits2,
@@ -127,14 +116,13 @@ class GSHJoin:
                         simulated_seconds=part_r.seconds + part_s.seconds,
                         counters=part_r.counters + part_s.counters,
                     )
-                result.phases.append(span.phase_result)
                 metrics.histogram("partition.sizes").observe_many(
                     part_r.partitioned.sizes()
                 )
 
                 try:
-                    split = self._detect_and_split(result, tracer, metrics,
-                                                   sim, part_r, part_s)
+                    split = self._detect_and_split(result, tracer, sim,
+                                                   part_r, part_s)
                 except CapacityError as exc:
                     # Skew-split failure: degrade to Gbase's sub-list
                     # decomposition over the already-partitioned data (the
@@ -144,7 +132,6 @@ class GSHJoin:
                     if not faults.policy.gsh_sublist_fallback:
                         raise
                     split = None
-                    append_partial_phases(result, tracer)
                     faults.record(FailureReport(
                         kind=CAPACITY_OVERFLOW, point="split",
                         algorithm=self.name, phase=current_phase_name(),
@@ -176,7 +163,6 @@ class GSHJoin:
                         counters=nm.counters,
                         task_count=nm.n_blocks,
                     )
-                result.phases.append(span.phase_result)
 
                 if split is not None:
                     with tracer.span("skew-join", algo=self.name) as span:
@@ -189,7 +175,6 @@ class GSHJoin:
                             counters=skew.counters,
                             task_count=skew.n_blocks,
                         )
-                    result.phases.append(span.phase_result)
                     result.meta["skew_join_blocks"] = skew.n_blocks
                     result.meta["skewed_output"] = skew.summary.count
                     skew_count = skew.summary.count
@@ -205,15 +190,9 @@ class GSHJoin:
             except UnrecoveredFaultError as exc:
                 run_cpu_fallback(result, tracer, faults, exc, join_input,
                                  cfg.output_capacity)
-
-            metrics.counter("join.output_tuples").inc(result.output_count)
-        result.meta["peak_rss_bytes"] = peak_rss_bytes()
-        result.faults = faults.reports
-        result.trace = tracer.record()
         return result
 
-    def _detect_and_split(self, result, tracer, metrics, sim, part_r,
-                          part_s):
+    def _detect_and_split(self, result, tracer, sim, part_r, part_s):
         """The skew machinery: detect large partitions, split skewed keys.
 
         An injected ``split`` fault (or an organic overflow in either
@@ -240,9 +219,8 @@ class GSHJoin:
                 counters=launch.counters,
                 large_partitions=float(detection.n_large),
             )
-        result.phases.append(span.phase_result)
         result.meta["large_partitions"] = detection.n_large
-        metrics.counter("skew.large_partitions").inc(detection.n_large)
+        tracer.metrics.counter("skew.large_partitions").inc(detection.n_large)
 
         with tracer.span("split", algo=self.name) as span:
             spec = faults.fire("split")
@@ -262,10 +240,9 @@ class GSHJoin:
                 counters=launch.counters,
                 skewed_keys=float(len(split.skewed_r.keys())),
             )
-        result.phases.append(span.phase_result)
         skewed_keys = sorted(
             set(split.skewed_r.keys()) | set(split.skewed_s.keys())
         )
         result.meta["skewed_keys"] = skewed_keys
-        metrics.counter("skew.keys_detected").inc(len(skewed_keys))
+        tracer.metrics.counter("skew.keys_detected").inc(len(skewed_keys))
         return split

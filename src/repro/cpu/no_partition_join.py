@@ -24,16 +24,15 @@ from repro.cpu.segments import split_segments
 from repro.cpu.threads import ThreadPool
 from repro.data.relation import JoinInput
 from repro.errors import ConfigError
-from repro.exec.backend import current_backend, is_vector
+from repro.exec.backend import is_vector
 from repro.exec.counters import OpCounters
 from repro.exec.cost_model import CPUCostModel, DEFAULT_CPU_COST_MODEL
 from repro.exec.matching import KeyGroupIndex
 from repro.exec.output import DEFAULT_CAPACITY, JoinOutputBuffer, combine_summaries
 from repro.exec.result import JoinResult
 from repro.faults.recovery import run_task_with_recovery
-from repro.faults.scope import current_fault_scope, fault_scope
-from repro.obs.rss import peak_rss_bytes
-from repro.obs.trace import Tracer, activate
+from repro.faults.scope import current_fault_scope
+from repro.obs.trace import join_run
 
 
 @dataclass(frozen=True)
@@ -62,17 +61,7 @@ class NoPartitionJoin:
         """Execute cbase-npj: global build, then parallel probe."""
         cfg = self.config
         r, s = join_input.r, join_input.s
-        result = JoinResult(
-            algorithm=self.name, n_r=len(r), n_s=len(s),
-            output_count=0, output_checksum=0,
-            meta={"backend": current_backend()},
-        )
-        tracer = Tracer(self.name, algorithm=self.name,
-                        n_r=len(r), n_s=len(s))
-        metrics = tracer.metrics
-        with activate(tracer), fault_scope(self.name) as faults:
-            metrics.counter("join.tuples_scanned").inc(len(r) + len(s))
-
+        with join_run(self.name, join_input) as (result, tracer, _):
             with tracer.span("build", algo=self.name) as span:
                 (table, index), build_counters, overhead = self._build(r)
                 per_thread = self._split_counters(build_counters, len(r),
@@ -83,7 +72,6 @@ class NoPartitionJoin:
                         extra_seconds=[overhead] * len(per_thread)),
                     counters=build_counters,
                 )
-            result.phases.append(span.phase_result)
 
             with tracer.span("probe", algo=self.name) as span:
                 per_thread, extras, summaries, total = self._probe(
@@ -93,15 +81,10 @@ class NoPartitionJoin:
                         per_thread, extra_seconds=extras),
                     counters=total,
                 )
-            result.phases.append(span.phase_result)
 
-        summary = combine_summaries(summaries)
-        result.output_count = summary.count
-        result.output_checksum = summary.checksum
-        metrics.counter("join.output_tuples").inc(result.output_count)
-        result.meta["peak_rss_bytes"] = peak_rss_bytes()
-        result.faults = faults.reports
-        result.trace = tracer.record()
+            summary = combine_summaries(summaries)
+            result.output_count = summary.count
+            result.output_checksum = summary.checksum
         return result
 
     def _build(self, r):

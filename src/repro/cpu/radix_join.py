@@ -32,14 +32,11 @@ from repro.cpu.hashing import hash_keys
 from repro.cpu.threads import ThreadPool
 from repro.data.relation import JoinInput
 from repro.errors import ConfigError
-from repro.exec.backend import current_backend
 from repro.exec.counters import OpCounters
 from repro.exec.cost_model import CPUCostModel, DEFAULT_CPU_COST_MODEL
 from repro.exec.output import DEFAULT_CAPACITY
 from repro.exec.result import JoinResult
-from repro.faults.scope import fault_scope
-from repro.obs.rss import peak_rss_bytes
-from repro.obs.trace import Tracer, activate
+from repro.obs.trace import join_run
 from repro.store.spill import current_spill_session
 
 
@@ -89,19 +86,10 @@ class CbaseJoin:
         cfg = self.config
         r, s = join_input.r, join_input.s
         bits1, bits2 = cfg.resolve_bits(max(len(r), len(s)))
-        result = JoinResult(
-            algorithm=self.name, n_r=len(r), n_s=len(s),
-            output_count=0, output_checksum=0,
-            meta={"bits_pass1": bits1, "bits_pass2": bits2,
-                  "backend": current_backend()},
-        )
-
-        tracer = Tracer(self.name, algorithm=self.name,
-                        n_r=len(r), n_s=len(s))
-        metrics = tracer.metrics
-        with activate(tracer), fault_scope(self.name) as faults:
-            metrics.counter("join.tuples_scanned").inc(len(r) + len(s))
-
+        with join_run(self.name, join_input,
+                      meta={"bits_pass1": bits1, "bits_pass2": bits2}
+                      ) as (result, tracer, _):
+            metrics = tracer.metrics
             with tracer.span("partition", algo=self.name) as span:
                 part_r, part_s, seconds, counters, details = (
                     self._partition_both(
@@ -110,7 +98,6 @@ class CbaseJoin:
                 )
                 span.finish(simulated_seconds=seconds, counters=counters,
                             **details)
-            result.phases.append(span.phase_result)
             metrics.histogram("partition.sizes").observe_many(part_r.sizes())
             metrics.counter("skew.partitions_split").inc(
                 int(details.get("split_partitions", 0))
@@ -119,12 +106,13 @@ class CbaseJoin:
             # Out-of-core gate: with an ambient spill session, oversized
             # partition pairs move to the durable chunk store before the
             # join phase streams them back.  The spill span charges zero
-            # simulated seconds and is deliberately NOT appended to
-            # result.phases, so a spilled run keeps the exact phase
-            # structure (and trace balance) of the in-RAM run.
+            # simulated seconds and is no phase, so a spilled run keeps
+            # the exact phase structure (and trace balance) of the
+            # in-RAM run.
             spill = current_spill_session()
             if spill is not None:
-                with tracer.span("spill", algo=self.name) as span:
+                with tracer.span("spill", algo=self.name,
+                                 phase=False) as span:
                     part_r, part_s = spill.spill_pair(part_r, part_s,
                                                       label="join")
                     span.finish(
@@ -143,20 +131,15 @@ class CbaseJoin:
                     task_count=phase.task_count,
                     idle_fraction=phase.schedule.idle_fraction,
                 )
-            result.phases.append(span.phase_result)
             metrics.gauge("taskqueue.join_idle_fraction").set(
                 phase.schedule.idle_fraction
             )
 
-        result.output_count = phase.summary.count
-        result.output_checksum = phase.summary.checksum
-        result.meta["join_tasks"] = phase.task_count
-        if spill is not None:
-            spill.annotate(result)
-        metrics.counter("join.output_tuples").inc(result.output_count)
-        result.meta["peak_rss_bytes"] = peak_rss_bytes()
-        result.faults = faults.reports
-        result.trace = tracer.record()
+            result.output_count = phase.summary.count
+            result.output_checksum = phase.summary.checksum
+            result.meta["join_tasks"] = phase.task_count
+            if spill is not None:
+                spill.annotate(result)
         return result
 
     def _partition_both(self, r_keys, r_pays, s_keys, s_pays, bits1, bits2):

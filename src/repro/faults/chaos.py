@@ -291,12 +291,21 @@ def pipeline_source(tuples: int = 8192, theta: float = 1.0, seed: int = 42,
                     algorithms: Sequence[str] = DEFAULT_CHAOS_ALGORITHMS,
                     ) -> Source:
     """The pipeline sweep over a seeded zipf workload (plan seed = workload
-    seed); refuses sizes below :data:`PIPELINE_MIN_TUPLES`."""
+    seed); refuses sizes below :data:`PIPELINE_MIN_TUPLES` and unknown
+    algorithms with a :class:`ConfigError`."""
+    from repro.api import ALGORITHMS  # local import: api imports the pipelines
+
     if tuples < PIPELINE_MIN_TUPLES:
         raise ConfigError(
             f"the pipeline chaos sweep needs --tuples >= "
             f"{PIPELINE_MIN_TUPLES}, got {tuples}: below it the seeded "
             "plan targets partition pairs some algorithms never reach")
+    unknown = sorted(set(algorithms) - set(ALGORITHMS))
+    if unknown or not algorithms:
+        raise ConfigError(
+            "the pipeline chaos sweep runs only "
+            f"{', '.join(sorted(ALGORITHMS))}; got "
+            f"{', '.join(unknown) or 'no algorithm'}")
 
     def scenario(checks: Checks) -> Dict:
         join_input = ZipfWorkload(tuples, tuples, theta, seed=seed).generate()

@@ -98,21 +98,6 @@ def consume_injected_faults(
                 f"{policy.max_retries} retries", report=report, **context)
 
 
-def append_partial_phases(result, tracer) -> None:
-    """Salvage phase results of an aborted run into ``result.phases``.
-
-    After a fault escapes a pipeline, root spans that already priced work
-    (explicitly finished, or carrying child kernel spans — including the
-    aborted kernel's wasted time) are appended to the result's phase list
-    with an ``aborted`` detail, so a fallback run's trace still sums to the
-    result total.  Spans with no time to report are skipped.
-    """
-    for span in tracer.spans[len(result.phases):]:
-        if span.finished:
-            span.details.setdefault("aborted", 1.0)
-            result.phases.append(span.phase_result)
-
-
 @dataclass
 class TaskOutcome:
     """Result of one task run through the recovery engine."""

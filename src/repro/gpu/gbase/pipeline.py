@@ -22,15 +22,12 @@ from typing import Optional, Tuple
 from repro.cpu.no_partition_join import NoPartitionConfig, NoPartitionJoin
 from repro.data.relation import JoinInput
 from repro.errors import ConfigError, UnrecoveredFaultError
-from repro.exec.backend import current_backend
 from repro.exec.output import DEFAULT_CAPACITY
 from repro.exec.result import JoinResult
 from repro.faults.plan import KERNEL_ABORT
-from repro.faults.recovery import append_partial_phases
 from repro.faults.report import FailureReport
-from repro.faults.scope import FaultScope, fault_scope
-from repro.obs.rss import peak_rss_bytes
-from repro.obs.trace import Tracer, activate
+from repro.faults.scope import FaultScope
+from repro.obs.trace import Tracer, join_run
 from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.gbase.join_kernels import gbase_join_phase
 from repro.gpu.partitioning import choose_gpu_bits, gbase_partition
@@ -44,19 +41,19 @@ def run_cpu_fallback(
     exc: UnrecoveredFaultError,
     join_input: JoinInput,
     output_capacity: int,
-) -> JoinResult:
+) -> None:
     """Degrade a GPU pipeline to cbase-npj after an unrecovered fault.
 
-    Appends the aborted run's partial phases, records the fallback as a
-    recovered report, then runs the CPU no-partition join inside one
-    ``fallback`` span (the inner join activates its own tracer and fault
-    scope, so its spans and reports stay out of the GPU result).  Raises
-    the original error unchanged when the policy forbids falling back.
+    Records the fallback as a recovered report, then runs the CPU
+    no-partition join inside one ``fallback`` span (the inner join
+    activates its own tracer and fault scope, so its spans and reports
+    stay out of the GPU result).  The aborted run's priced root spans
+    stay phases, marked ``aborted`` by the tracer.  Raises the original
+    error unchanged when the policy forbids falling back.
     """
     if not faults.policy.gpu_cpu_fallback:
         raise exc
     report = exc.report
-    append_partial_phases(result, tracer)
     faults.record(FailureReport(
         kind=report.kind if report else KERNEL_ABORT,
         point=report.point if report else "kernel",
@@ -75,11 +72,9 @@ def run_cpu_fallback(
             simulated_seconds=fallback.simulated_seconds,
             counters=fallback.counters,
         )
-    result.phases.append(span.phase_result)
     result.output_count = fallback.output_count
     result.output_checksum = fallback.output_checksum
     result.meta["fallback"] = "cbase-npj"
-    return fallback
 
 
 @dataclass(frozen=True)
@@ -125,19 +120,10 @@ class GbaseJoin:
         sim = GPUSimulator(device=cfg.device,
                            cost_model=cost_model_for(cfg.device))
         bits1, bits2 = cfg.resolve_bits(max(len(r), len(s)))
-        result = JoinResult(
-            algorithm=self.name, n_r=len(r), n_s=len(s),
-            output_count=0, output_checksum=0,
-            meta={"bits_pass1": bits1, "bits_pass2": bits2,
-                  "device": cfg.device.name, "backend": current_backend()},
-        )
-
-        tracer = Tracer(self.name, algorithm=self.name,
-                        n_r=len(r), n_s=len(s), device=cfg.device.name)
-        metrics = tracer.metrics
-        with activate(tracer), fault_scope(self.name) as faults:
-            metrics.counter("join.tuples_scanned").inc(len(r) + len(s))
-
+        with join_run(self.name, join_input,
+                      meta={"bits_pass1": bits1, "bits_pass2": bits2,
+                            "device": cfg.device.name},
+                      device=cfg.device.name) as (result, tracer, faults):
             try:
                 with tracer.span("partition", algo=self.name) as span:
                     part_r = gbase_partition(r.keys, r.payloads, bits1,
@@ -148,8 +134,7 @@ class GbaseJoin:
                         simulated_seconds=part_r.seconds + part_s.seconds,
                         counters=part_r.counters + part_s.counters,
                     )
-                result.phases.append(span.phase_result)
-                metrics.histogram("partition.sizes").observe_many(
+                tracer.metrics.histogram("partition.sizes").observe_many(
                     part_r.partitioned.sizes()
                 )
 
@@ -164,7 +149,6 @@ class GbaseJoin:
                         counters=phase.counters,
                         task_count=phase.n_blocks,
                     )
-                result.phases.append(span.phase_result)
 
                 result.output_count = phase.summary.count
                 result.output_checksum = phase.summary.checksum
@@ -172,9 +156,4 @@ class GbaseJoin:
             except UnrecoveredFaultError as exc:
                 run_cpu_fallback(result, tracer, faults, exc, join_input,
                                  cfg.output_capacity)
-
-            metrics.counter("join.output_tuples").inc(result.output_count)
-        result.meta["peak_rss_bytes"] = peak_rss_bytes()
-        result.faults = faults.reports
-        result.trace = tracer.record()
         return result

@@ -1,10 +1,9 @@
 """Span-based tracing for the join pipelines.
 
-Every pipeline ``run()`` opens a :class:`Tracer`, and each phase becomes a
-:class:`Span`::
+Every pipeline ``run()`` opens its run through :func:`join_run`, and each
+phase becomes a root :class:`Span`::
 
-    tracer = Tracer("csh", algorithm="csh")
-    with activate(tracer):
+    with join_run("csh", join_input) as (result, tracer, faults):
         with tracer.span("partition", algo="csh") as span:
             ...
             span.finish(simulated_seconds=makespan, counters=total)
@@ -26,7 +25,8 @@ A tracer also carries a :class:`~repro.obs.metrics.MetricsRegistry` for
 scalar facts that do not belong to a single span.  ``tracer.record()``
 freezes everything into a :class:`TraceRecord`, which pipelines attach to
 their :class:`~repro.exec.result.JoinResult` and which serializes to
-JSON/JSONL via :mod:`repro.obs.export`.
+JSON/JSONL via :mod:`repro.obs.export`.  The result's phase list is not
+kept by hand: it is :meth:`TraceRecord.phases`, the finished root spans.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ExecutionError
+from repro.exec.backend import current_backend
 from repro.exec.counters import OpCounters
-from repro.exec.result import PhaseResult
+from repro.exec.result import JoinResult, PhaseResult
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.rss import peak_rss_bytes
 
 
 @dataclass
@@ -128,6 +130,16 @@ class TraceRecord:
         """Names of the root (phase-level) spans, in order."""
         return [span.name for span in self.spans]
 
+    def phases(self) -> List[PhaseResult]:
+        """The run's phase breakdown: its finished root spans, in order.
+
+        A root span opened with ``phase=False`` (the spill gate) is traced
+        but is no phase; a root span whose block raised before it priced
+        any work (unfinished) has nothing to report.
+        """
+        return [span.phase_result for span in self.spans
+                if span.finished and span.attrs.get("phase", True)]
+
     def span(self, name: str) -> Span:
         """The first span named ``name`` anywhere in the tree.
 
@@ -206,7 +218,8 @@ class Tracer:
 
         The span must either be ``finish()``-ed inside the block or end up
         with children (whose simulated times it then sums); exiting cleanly
-        with neither raises :class:`ExecutionError`.
+        with neither raises :class:`ExecutionError`.  A root span whose
+        block raises is marked ``details["aborted"] = 1.0``.
         """
         span = Span(name=name, attrs=attrs)
         parent = self._stack[-1] if self._stack else None
@@ -215,6 +228,10 @@ class Tracer:
         start = time.perf_counter()
         try:
             yield span
+        except BaseException:
+            if parent is None:
+                span.details["aborted"] = 1.0
+            raise
         finally:
             span.wall_seconds = time.perf_counter() - start
             self._stack.pop()
@@ -294,6 +311,39 @@ def tracing(name: str = "trace", **attrs) -> Iterator[Tracer]:
     """Create and activate a fresh tracer for the block."""
     with activate(Tracer(name, **attrs)) as tracer:
         yield tracer
+
+
+@contextmanager
+def join_run(algorithm: str, join_input, meta: Optional[Dict] = None,
+             **attrs) -> Iterator[tuple]:
+    """The run skeleton every join pipeline opens.
+
+    Yields ``(result, tracer, faults)``: a fresh :class:`JoinResult`
+    (``meta`` plus the ambient backend), the run's :class:`Tracer` (extra
+    ``attrs`` land on the trace) and its fault scope, both active for the
+    block, with ``join.tuples_scanned`` counted.  The block sets the
+    output summary; on a clean exit the skeleton counts
+    ``join.output_tuples`` and attaches peak RSS, the fault reports, the
+    trace and the phases derived from it (:meth:`TraceRecord.phases`).
+    """
+    from repro.faults.scope import fault_scope  # cycle: faults import us
+
+    n_r, n_s = len(join_input.r), len(join_input.s)
+    result = JoinResult(
+        algorithm=algorithm, n_r=n_r, n_s=n_s,
+        output_count=0, output_checksum=0,
+        meta={**(meta or {}), "backend": current_backend()},
+    )
+    tracer = Tracer(algorithm, algorithm=algorithm, n_r=n_r, n_s=n_s,
+                    **attrs)
+    with activate(tracer), fault_scope(algorithm) as faults:
+        tracer.metrics.counter("join.tuples_scanned").inc(n_r + n_s)
+        yield result, tracer, faults
+        tracer.metrics.counter("join.output_tuples").inc(result.output_count)
+    result.meta["peak_rss_bytes"] = peak_rss_bytes()
+    result.faults = faults.reports
+    result.trace = tracer.record()
+    result.phases = result.trace.phases()
 
 
 def verify_result_trace(result, tolerance: float = 1e-6) -> Optional[str]:

@@ -277,7 +277,7 @@ class ServeEngine:
             miss_counter = metrics.counter("serve.cache_miss")
             checkpoint(stage="admitted", trace_id=trace_id)
             entry, hit, shared = await self.cache.get_or_build(
-                key, lambda: self._build_entry(key, build_rel, result))
+                key, lambda: self._build_entry(key, build_rel))
             # A deadline that ran out during the build fires here at the
             # latest — single-shot vector builds have no interior
             # checkpoint, so this is what keeps ``deadline_ms=1`` against
@@ -306,7 +306,6 @@ class ServeEngine:
                     task_count=n_morsels,
                     morsel_tuples=float(morsel_tuples),
                 )
-            result.phases.append(span.phase_result)
 
             result.output_count = summary.count
             result.output_checksum = summary.checksum
@@ -324,10 +323,11 @@ class ServeEngine:
             "n_chunks": len(chunks),
         })
         result.trace = tracer.record()
+        result.phases = result.trace.phases()
         return ProbeOutcome(result=result, chunks=chunks)
 
     def _build_entry(self, key: Tuple[str, int],
-                     relation: Relation, result: JoinResult) -> CachedBuild:
+                     relation: Relation) -> CachedBuild:
         """Build the chained table for a cold key, under a ``build`` span.
 
         Mirrors the no-partition join's global build: capacity-overflow
@@ -366,7 +366,6 @@ class ServeEngine:
             span.finish(simulated_seconds=build_seconds,
                         counters=outcome.counters,
                         n_buckets=float(outcome.value.n_buckets))
-        result.phases.append(span.phase_result)
         return CachedBuild(
             table=outcome.value, relation_id=key[0], version=key[1],
             n_entries=len(relation), build_seconds=build_seconds)

@@ -160,21 +160,3 @@ def join_one_pair(
         hashes=part_s.partition_hashes(p),
     )
 
-
-def pair_output_counts(
-    part_r: PartitionedRelation, part_s: PartitionedRelation
-) -> np.ndarray:
-    """Exact join output size of each partition pair (diagnostics)."""
-    out = np.zeros(part_r.fanout, dtype=object)
-    for p in range(part_r.fanout):
-        r_keys, _ = part_r.partition(p)
-        s_keys, _ = part_s.partition(p)
-        if r_keys.size == 0 or s_keys.size == 0:
-            out[p] = 0
-            continue
-        ru, rc = np.unique(r_keys, return_counts=True)
-        su, sc = np.unique(s_keys, return_counts=True)
-        shared, ir, i_s = np.intersect1d(ru, su, assume_unique=True,
-                                         return_indices=True)
-        out[p] = int(np.sum(rc[ir].astype(object) * sc[i_s].astype(object)))
-    return out

@@ -58,14 +58,6 @@ class WorkerCrashError(ExecutionError):
     """A simulated worker thread died mid-task (fault injection)."""
 
 
-class KernelAbortError(ExecutionError):
-    """A simulated kernel launch (or CPU phase execution) aborted."""
-
-
-class KernelOOMError(CapacityError):
-    """A simulated kernel launch exhausted device memory."""
-
-
 class ArtifactCorruptionError(ReproError):
     """A serialized artifact is truncated or otherwise corrupted.
 
@@ -129,15 +121,6 @@ class CircuitOpen(ServeError):
     (half-open) and a success closes the circuit again.  The context
     carries the key, the consecutive failure count, and the seconds
     until the next half-open trial.
-    """
-
-
-class WorkerPoolExhausted(ExecutionError):
-    """The parallel worker pool's respawn budget is spent.
-
-    The pool has already healed as many dead workers as its budget
-    allows; remaining morsels complete inline and subsequent phases
-    degrade to the vector path with a one-time warning.
     """
 
 

@@ -175,11 +175,13 @@ class KeyGroupIndex:
     def emit(self, s_keys: np.ndarray, s_payloads: np.ndarray,
              buffer: JoinOutputBuffer,
              hashes: Optional[np.ndarray] = None) -> OutputSummary:
-        """Join S and feed the output buffer, as :func:`emit_matches`.
+        """Join S and feed the output buffer.
 
         ``hashes`` are S's key hashes when the caller already has them.
         Count and checksum come in closed form; only the last
-        ``buffer.capacity`` pairs, all the ring can keep, are expanded.
+        ``buffer.capacity`` pairs, all that overwrite-on-full lets the
+        ring keep, are expanded, so the write costs O(min(output,
+        capacity)) and the ring ends up as if every pair had been written.
         """
         hits, groups = self._lookup(s_keys, hashes)
         total, checksum = self._stats(hits, groups, s_payloads)
@@ -289,30 +291,6 @@ def match_group_stats(
     return impl(r_keys, r_payloads, s_keys, s_payloads)
 
 
-def emit_matches(
-    r_keys: np.ndarray,
-    r_payloads: np.ndarray,
-    s_keys: np.ndarray,
-    s_payloads: np.ndarray,
-    buffer: JoinOutputBuffer,
-) -> OutputSummary:
-    """Join two tuple sets on key equality and feed the output buffer.
-
-    Count and checksum come in closed form from :func:`match_group_stats`;
-    only the last ``buffer.capacity`` pairs, all that overwrite-on-full
-    lets the ring keep, are materialized by :func:`expand_pairs`.  The
-    write costs O(min(output, capacity)), and the ring ends up as if
-    every pair had been written.
-    """
-    total, checksum = match_group_stats(r_keys, r_payloads,
-                                        s_keys, s_payloads)
-    if total:
-        tail = expand_pairs(r_keys, r_payloads, s_keys, s_payloads,
-                            skip=max(total - buffer.capacity, 0))
-        buffer.write_pairs(*tail, total=total, checksum=checksum)
-    return OutputSummary(total, checksum)
-
-
 def expand_pairs(
     r_keys: np.ndarray,
     r_payloads: np.ndarray,
@@ -372,37 +350,3 @@ def _expand_pairs_vector(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batch pair expansion through a one-shot key-group index of R."""
     return KeyGroupIndex(r_keys, r_payloads).expand(s_keys, s_payloads, skip)
-
-
-def per_key_match_counts(
-    query_keys: np.ndarray, target_keys: np.ndarray
-) -> np.ndarray:
-    """For each query key, how many target tuples share it."""
-    impl = dispatch(_per_key_match_counts_scalar, _per_key_match_counts_vector)
-    return impl(query_keys, target_keys)
-
-
-def _per_key_match_counts_scalar(
-    query_keys: np.ndarray, target_keys: np.ndarray
-) -> np.ndarray:
-    if target_keys.size == 0 or query_keys.size == 0:
-        return np.zeros(query_keys.size, dtype=np.int64)
-    counts: Dict[int, int] = {}
-    for k in target_keys.tolist():
-        counts[k] = counts.get(k, 0) + 1
-    out = np.empty(query_keys.size, dtype=np.int64)
-    for i, k in enumerate(query_keys.tolist()):
-        out[i] = counts.get(k, 0)
-    return out
-
-
-def _per_key_match_counts_vector(
-    query_keys: np.ndarray, target_keys: np.ndarray
-) -> np.ndarray:
-    if target_keys.size == 0 or query_keys.size == 0:
-        return np.zeros(query_keys.size, dtype=np.int64)
-    t_uniq, t_counts = np.unique(target_keys, return_counts=True)
-    pos = np.searchsorted(t_uniq, query_keys)
-    pos_clipped = np.minimum(pos, t_uniq.size - 1)
-    hit = t_uniq[pos_clipped] == query_keys
-    return np.where(hit, t_counts[pos_clipped], 0).astype(np.int64)

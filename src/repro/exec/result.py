@@ -110,11 +110,6 @@ class JoinResult:
         )
 
 
-@dataclass
-class BreakdownRow(dict):
-    """Convenience alias used by the bench table renderers."""
-
-
 def compare_results(results: List[JoinResult]) -> Optional[str]:
     """Check a list of results for output agreement.
 

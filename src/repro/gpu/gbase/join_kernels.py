@@ -6,6 +6,12 @@ decomposed into disjoint sub-lists, and one block per sub-list joins it
 against the *full* S partition — so S tuples are re-read and re-probed once
 per sub-list, and the skew of S itself is not addressed.
 
+Each pair builds one :class:`~repro.cpu.chained_table.ChainedHashTable`
+over its R partition and probes it once with S: that probe gives the
+pair's output count and checksum and feeds its output ring, and its count
+is the output of a single-block pair.  Only a pair split into sub-lists
+counts each sub-list's output on its own.
+
 Output coordination uses the write bitmap (Section III): at every chain
 step each thread atomically sets its bit, the block synchronizes, and
 threads count bits to compute write offsets — so long chains multiply
@@ -26,6 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.cpu.chained_table import ChainedHashTable
 from repro.cpu.hashing import bucket_ids, bits_for, next_pow2
 from repro.cpu.partition import PartitionedRelation
 from repro.gpu.bucket_chain import (
@@ -35,7 +42,7 @@ from repro.gpu.bucket_chain import (
 )
 from repro.exec.backend import dispatch
 from repro.exec.counters import OpCounters
-from repro.exec.matching import emit_matches, per_key_match_counts
+from repro.exec.matching import match_group_stats
 from repro.exec.output import (
     DEFAULT_CAPACITY,
     JoinOutputBuffer,
@@ -83,16 +90,19 @@ def _probe_chain_depths_scalar(
 
 
 def probe_block_counters(
-    r_keys: np.ndarray,
     r_hashes: np.ndarray,
-    s_keys: np.ndarray,
     s_hashes: np.ndarray,
+    output_tuples: int,
     block_threads: int,
     bucket_bits: int,
 ) -> OpCounters:
-    """Exact block cost of building over R and probing all of S."""
-    n_r = int(r_keys.size)
-    n_s = int(s_keys.size)
+    """Exact block cost of building over R and probing all of S.
+
+    ``output_tuples`` is the block's join output, which the caller has
+    already counted (see :func:`gbase_join_phase`); this prices it.
+    """
+    n_r = int(r_hashes.size)
+    n_s = int(s_hashes.size)
     counters = OpCounters(
         hash_ops=n_r + n_s,
         table_inserts=n_r,
@@ -109,9 +119,8 @@ def probe_block_counters(
     counters.atomic_ops += rounds.useful_steps  # write-intention bits
     counters.key_compares += rounds.useful_steps
     counters.divergent_steps += rounds.divergent_steps
-    matches = int(per_key_match_counts(s_keys, r_keys).sum())
-    counters.output_tuples += matches
-    counters.bytes_written += 8 * matches
+    counters.output_tuples += output_tuples
+    counters.bytes_written += 8 * output_tuples
     return counters
 
 
@@ -194,12 +203,26 @@ def gbase_join_phase(
             ranges = sublist_ranges(chain, pair_capacity)
         else:
             ranges = [(0, n_r)]
+        # One table per pair, probed once: the probe's summary is the
+        # pair's output, its ring write and a lone block's output count;
+        # only sub-lists need their own counts.
+        table = ChainedHashTable(table_buckets)
+        table.build(r_keys, r_pays, hashes=r_hashes)
+        summary = table.probe(s_keys, s_pays, buffers[i % len(buffers)],
+                              hashes=s_hashes)
+        summaries.append(summary)
+        if len(ranges) == 1:
+            outputs = [summary.count]
+        else:
+            outputs = [match_group_stats(r_keys[a:b], r_pays[a:b],
+                                         s_keys, s_pays)[0]
+                       for a, b in ranges]
         pair_work = [
             BlockWork(1, probe_block_counters(
-                r_keys[a:b], r_hashes[a:b], s_keys, s_hashes,
+                r_hashes[a:b], s_hashes, out,
                 device.threads_per_block, bucket_bits,
             ))
-            for a, b in ranges
+            for (a, b), out in zip(ranges, outputs)
         ]
         # Worker crash: the blocks of this pair re-execute; each wasted
         # attempt costs a fraction of the pair's block work plus backoff.
@@ -224,8 +247,6 @@ def gbase_join_phase(
                 context={"partition": p},
             ))
         work.extend(pair_work)
-        buf = buffers[i % len(buffers)]
-        summaries.append(emit_matches(r_keys, r_pays, s_keys, s_pays, buf))
     launch = sim.launch(kernel_name, work)
     return GpuJoinPhaseResult(
         summary=combine_summaries(summaries),

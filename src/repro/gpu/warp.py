@@ -59,12 +59,3 @@ def lockstep_probe_rounds(
                        paid_steps=paid,
                        useful_steps=useful)
 
-
-def round_sync_count(rounds: int, per_round_steps: int) -> int:
-    """Barriers paid by the write-bitmap protocol.
-
-    Gbase synchronizes the block after *every chain step* of a probe round
-    to build the write bitmap (Section III), so the number of barriers is
-    the total number of lockstep steps across rounds.
-    """
-    return rounds * per_round_steps

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu.hashing import hash_keys
-from repro.cpu.join_phase import join_partition_pairs, pair_output_counts
+from repro.cpu.join_phase import join_partition_pairs
 from repro.cpu.no_partition_join import NoPartitionConfig, NoPartitionJoin
 from repro.cpu.partition import partition_pass
 from repro.cpu.radix_join import CbaseConfig, CbaseJoin
@@ -20,7 +20,7 @@ from repro.data.relation import JoinInput, Relation
 from repro.data.zipf import ZipfWorkload
 from repro.errors import ConfigError
 from repro.exec.counters import OpCounters
-from tests.conftest import assert_result_correct, expected_summary
+from tests.conftest import assert_result_correct
 
 
 def test_cbase_correct_on_uniform(small_uniform):
@@ -137,17 +137,6 @@ def test_join_partition_pairs_requires_aligned_fanout():
     ps = partition_pass(keys, keys, hash_keys(keys), 0, 3, 2).partitioned
     with pytest.raises(ValueError):
         join_partition_pairs(pr, ps, ThreadPool(2))
-
-
-def test_pair_output_counts_sum_to_total():
-    ji = uniform_input(3000, 3000, n_keys=500, seed=5)
-    pr = partition_pass(ji.r.keys, ji.r.payloads, hash_keys(ji.r.keys),
-                        0, 3, 2).partitioned
-    ps = partition_pass(ji.s.keys, ji.s.payloads, hash_keys(ji.s.keys),
-                        0, 3, 2).partitioned
-    counts = pair_output_counts(pr, ps)
-    total, _ = expected_summary(ji)
-    assert int(sum(counts)) == total
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))

@@ -4,10 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.exec.matching import (
-    emit_matches,
+    KeyGroupIndex,
     expand_pairs,
     match_group_stats,
-    per_key_match_counts,
 )
 from repro.exec.output import JoinOutputBuffer
 
@@ -60,35 +59,19 @@ def test_expand_pairs_matches_brute_force_multiset(r_list, s_list):
 
 @given(small_rel, small_rel)
 @settings(max_examples=80)
-def test_emit_matches_summary(r_list, s_list):
+def test_index_emit_summary(r_list, s_list):
     rk = np.array([t[0] for t in r_list], dtype=np.uint32)
     rp = np.array([t[1] for t in r_list], dtype=np.uint32)
     sk = np.array([t[0] for t in s_list], dtype=np.uint32)
     sp = np.array([t[1] for t in s_list], dtype=np.uint32)
     count, checksum, _ = brute_force(rk, rp, sk, sp)
     buf = JoinOutputBuffer(1 << 12)
-    summary = emit_matches(rk, rp, sk, sp, buf)
+    summary = KeyGroupIndex(rk, rp).emit(sk, sp, buf)
     assert summary.count == count == buf.count
     assert summary.checksum == checksum == buf.checksum
 
 
-def test_per_key_match_counts():
-    target = np.array([5, 5, 7, 9], dtype=np.uint32)
-    query = np.array([5, 7, 8, 9, 10], dtype=np.uint32)
-    got = per_key_match_counts(query, target)
-    assert got.tolist() == [2, 1, 0, 1, 0]
-
-
-def test_per_key_match_counts_empty():
-    assert per_key_match_counts(
-        np.empty(0, np.uint32), np.array([1], np.uint32)
-    ).size == 0
-    assert per_key_match_counts(
-        np.array([1], np.uint32), np.empty(0, np.uint32)
-    ).tolist() == [0]
-
-
-def test_emit_matches_large_group_fills_the_ring():
+def test_index_emit_large_group_fills_the_ring():
     """Above 2**21 pairs (an earlier summary-only cut-off) the ring holds
     the last pairs, exactly as if the whole expansion had been written."""
     n = 1 << 11  # n*n = 4M pairs
@@ -97,7 +80,7 @@ def test_emit_matches_large_group_fills_the_ring():
     sk = np.zeros(n, dtype=np.uint32)
     sp = np.full(n, 2, dtype=np.uint32)
     buf = JoinOutputBuffer(16)
-    summary = emit_matches(rk, rp, sk, sp, buf)
+    summary = KeyGroupIndex(rk, rp).emit(sk, sp, buf)
     checksum = (n * (n * (n - 1) // 2) * 2) & U64
     assert (summary.count, summary.checksum) == (n * n, checksum)
     assert (buf.count, buf.checksum) == (n * n, checksum)

@@ -15,8 +15,8 @@ from repro.exec.backend import BACKENDS, use_backend
 from repro.exec.matching import (
     KeyGroupIndex,
     _expand_pairs_scalar,
-    emit_matches,
     expand_pairs,
+    match_group_stats,
 )
 from repro.exec.output import JoinOutputBuffer
 
@@ -92,12 +92,17 @@ def test_index_emit_writes_what_the_full_expansion_leaves(
 @_SETTINGS
 def test_emit_matches_writes_what_the_full_expansion_leaves(
         backend, parallel_pool_env, r_pairs, s_pairs, choice, prefill):
+    # The emit-matches write on the backend-dispatched pieces: count and
+    # checksum from match_group_stats, only the ring's tail expanded.
     (rk, rp, sk, sp), capacity, want = equi_join_case(
         r_pairs, s_pairs, choice, prefill)
     got = prefilled(capacity, prefill)
     with use_backend(backend):
-        summary = emit_matches(rk, rp, sk, sp, got)
-    assert summary.count == want.count - prefill
+        total, checksum = match_group_stats(rk, rp, sk, sp)
+        tail = expand_pairs(rk, rp, sk, sp,
+                            skip=max(total - got.capacity, 0))
+    got.write_pairs(*tail, total=total, checksum=checksum)
+    assert total == want.count - prefill
     assert_same_ring(got, want)
 
 
